@@ -60,6 +60,9 @@ func main() {
 	// at work seed 1, exactly as the sequential loop always has. Each
 	// die's sweep is internally parallel across its operating points, and
 	// the conventional baseline is one memoized RunSpec per process.
+	if err := sim.CheckScheme(sim.Scheme(*scheme), true); err != nil {
+		log.Fatal(err)
+	}
 	single := *dies <= 1
 	var specs []sim.DieSpec
 	if single {

@@ -91,6 +91,9 @@ func main() {
 	}
 	schemes := sim.AllSchemes()
 	if *scheme != "" {
+		if err := sim.CheckScheme(sim.Scheme(*scheme), false); err != nil {
+			log.Fatal(err)
+		}
 		schemes = []sim.Scheme{sim.Scheme(*scheme)}
 	}
 	benchmarks := workload.Names()

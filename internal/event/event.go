@@ -67,8 +67,8 @@ func (q queue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q queue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *queue) Push(x any)        { *q = append(*q, x.(item)) }
+func (q queue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *queue) Push(x any)   { *q = append(*q, x.(item)) }
 func (q *queue) Pop() any {
 	old := *q
 	n := len(old)

@@ -596,8 +596,8 @@ func (s *Server) handleDie(w http.ResponseWriter, r *http.Request) {
 // validateRow rejects a malformed eval cell before it costs a queue
 // slot: unknown scheme or benchmark, bad operating point, empty work.
 func validateRow(spec sim.RowSpec) error {
-	if !knownScheme(spec.Scheme) {
-		return fmt.Errorf("serve: unknown scheme %q (known: %v)", spec.Scheme, sim.AllSchemes())
+	if err := sim.CheckScheme(spec.Scheme, false); err != nil {
+		return err
 	}
 	if _, err := workload.ByName(spec.Benchmark); err != nil {
 		return err
@@ -614,10 +614,11 @@ func validateRow(spec sim.RowSpec) error {
 	return nil
 }
 
-// validateDie rejects a malformed die sweep request.
+// validateDie rejects a malformed die sweep request, including a
+// scheme die sweeps do not support.
 func validateDie(spec sim.DieSpec) error {
-	if !knownScheme(spec.Scheme) {
-		return fmt.Errorf("serve: unknown scheme %q (known: %v)", spec.Scheme, sim.AllSchemes())
+	if err := sim.CheckScheme(spec.Scheme, true); err != nil {
+		return err
 	}
 	if _, err := workload.ByName(spec.Benchmark); err != nil {
 		return err
@@ -626,15 +627,6 @@ func validateDie(spec sim.DieSpec) error {
 		return errors.New("serve: zero instructions")
 	}
 	return nil
-}
-
-func knownScheme(s sim.Scheme) bool {
-	for _, k := range sim.AllSchemes() {
-		if s == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats is the /v1/stats document. Field order is the wire order.

@@ -217,6 +217,9 @@ func TestBadRequests(t *testing.T) {
 		{name: "chaos invalid", path: "/v1/chaos", body: `{"Benchmark":"basicmath","StartMV":400,"Epochs":0,"EpochInstructions":1}`, wantStatus: 400, wantCode: "bad_spec"},
 		{name: "hier invalid", path: "/v1/hier", body: `{"instructions":0}`, wantStatus: 400, wantCode: "bad_spec"},
 		{name: "die unknown bench", path: "/v1/die", body: `{"scheme":"8T","benchmark":"nope","instructions":1000}`, wantStatus: 400, wantCode: "bad_spec"},
+		{name: "die unsupported scheme", path: "/v1/die", body: `{"scheme":"SECDED","benchmark":"basicmath","instructions":1000}`, wantStatus: 400, wantCode: "bad_spec"},
+		{name: "hier unknown scheme", path: "/v1/hier", body: `{"scheme":"zzz","cores":[{"benchmark":"basicmath","mv":400}],"instructions":1000}`, wantStatus: 400, wantCode: "bad_spec"},
+		{name: "hier unknown core scheme", path: "/v1/hier", body: `{"scheme":"8T","cores":[{"scheme":"zzz","benchmark":"basicmath","mv":400}],"instructions":1000}`, wantStatus: 400, wantCode: "bad_spec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

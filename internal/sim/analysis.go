@@ -95,10 +95,7 @@ func (e *Engine) Fig6(ctx context.Context, benchmark string, op dvfs.OperatingPo
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.BuildProgram(prof, seed, func(p *program.Program) (*program.Program, error) {
-		t, _, terr := bbr.Transform(p, bbr.DefaultTransformConfig())
-		return t, terr
-	})
+	prog, err := bbrProgram(prof, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +182,7 @@ func (e *Engine) YieldAnalysis(ctx context.Context, maps int, seed int64) ([]Yie
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.BuildProgram(prof, seed, func(p *program.Program) (*program.Program, error) {
-		t, _, terr := bbr.Transform(p, bbr.DefaultTransformConfig())
-		return t, terr
-	})
+	prog, err := bbrProgram(prof, seed)
 	if err != nil {
 		return nil, err
 	}

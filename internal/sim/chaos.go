@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/bbr"
 	"repro/internal/core"
@@ -150,15 +149,11 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	}
 
 	// The die: nested manufacturing maps, same seed salts as SweepDie.
-	seriesI := faultmap.NewSeries(l1Words, rand.New(rand.NewSource(spec.DieSeed*2+11)))
-	seriesD := faultmap.NewSeries(l1Words, rand.New(rand.NewSource(spec.DieSeed*2+12)))
+	seriesI, seriesD := dieSeries(spec.DieSeed)
 
 	// The BBR program transform is voltage-independent; only the link
 	// against the I-side fault map changes per point.
-	prog, err := workload.BuildProgram(prof, spec.WorkSeed, func(p *program.Program) (*program.Program, error) {
-		t, _, terr := bbr.Transform(p, bbr.DefaultTransformConfig())
-		return t, terr
-	})
+	prog, err := bbrProgram(prof, spec.WorkSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -182,10 +177,11 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	build := func() (*chaosRig, error) {
 		for {
 			op := backoff.Current()
-			rig, berr := buildChaosRig(spec, prof, prog, op, seriesI, seriesD, seg)
+			next := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
+			ic, dc, stream, berr := buildChaosRig(spec.Inject, spec.WorkSeed, 0, prof, prog, op, seriesI, seriesD, seg, next)
 			if berr == nil {
 				seg++
-				return rig, nil
+				return &chaosRig{ic: ic, dc: dc, next: next, stream: stream}, nil
 			}
 			if !errors.Is(berr, ErrYield) {
 				return nil, berr
@@ -248,58 +244,23 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 }
 
 // buildChaosRig assembles the caches, link and stream for one voltage
-// segment of a campaign.
-func buildChaosRig(spec ChaosSpec, prof workload.Profile, prog *program.Program,
-	op dvfs.OperatingPoint, seriesI, seriesD *faultmap.Series, seg int) (*chaosRig, error) {
-
-	next := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
-	ic, dc, stream, err := buildChaosRigOn(spec.Inject, spec.WorkSeed, 0, prof, prog, op, seriesI, seriesD, seg, next)
-	if err != nil {
-		return nil, err
-	}
-	return &chaosRig{ic: ic, dc: dc, next: next, stream: stream}, nil
-}
-
-// buildChaosRigOn is buildChaosRig over a caller-provided next level —
-// the shared path between single-core campaigns (inline L2) and
-// hierarchy campaigns (port-backed shared L2). coreSalt decorrelates
-// injector streams across a hierarchy's cores; 0 for single-core,
-// preserving the historical seeds bit for bit.
-func buildChaosRigOn(inj inject.Params, workSeed, coreSalt int64, prof workload.Profile, prog *program.Program,
+// segment of a campaign over the given next level — the shared path
+// between single-core campaigns (inline L2) and hierarchy campaigns
+// (port-backed shared L2). coreSalt decorrelates injector streams
+// across a hierarchy's cores; 0 for single-core, preserving the
+// historical seeds bit for bit.
+func buildChaosRig(inj inject.Params, workSeed, coreSalt int64, prof workload.Profile, prog *program.Program,
 	op dvfs.OperatingPoint, seriesI, seriesD *faultmap.Series, seg int, next *core.NextLevel) (*bbr.ICache, *ffw.Cache, *workload.Stream, error) {
 
 	fmI, fmD := seriesI.MapAt(op.PfailBit), seriesD.MapAt(op.PfailBit)
-
-	layout, err := bbr.Link(prog, fmI, 0)
-	if err != nil {
-		if errors.Is(err, bbr.ErrUnplaceable) {
-			return nil, nil, nil, fmt.Errorf("%w: %v", ErrYield, err)
-		}
-		return nil, nil, nil, err
-	}
-
-	ic, err := bbr.NewICache(fmI, next)
+	layout, err := link(prog, fmI)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts := ffw.Options{}
-	if inj.Enabled() {
-		// Per-segment injector seeds: distinct per voltage segment, per
-		// core and per cache side, derived only from spec seeds and the
-		// segment ordinal — never from scheduling.
-		base := inj.Seed + coreSalt + int64(seg)*7919
-		injI, ierr := inject.New(l1Words, op.VoltageMV, inj.WithSeed(base*2+21))
-		if ierr != nil {
-			return nil, nil, nil, ierr
-		}
-		injD, derr := inject.New(l1Words, op.VoltageMV, inj.WithSeed(base*2+22))
-		if derr != nil {
-			return nil, nil, nil, derr
-		}
-		ic.AttachInjector(injI)
-		opts.Injector = injD
-	}
-	dc, err := ffw.New(fmD, next, opts)
+	// Per-segment injector streams: distinct per voltage segment, per
+	// core and per cache side, derived only from spec seeds and the
+	// segment ordinal — never from scheduling.
+	ic, dc, err := newFFWBBR(fmI, fmD, next, ffw.Options{}, inj.WithSeed(inj.Seed+coreSalt+int64(seg)*7919), op.VoltageMV)
 	if err != nil {
 		return nil, nil, nil, err
 	}

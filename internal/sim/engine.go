@@ -121,13 +121,9 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) (cpu.Result, error) {
 // argument surfaces as one clear top-level error instead of failing
 // deep inside Run on the first fault map of some cell.
 func validateEvalInputs(ss []Scheme, benchmarks []string) error {
-	known := make(map[Scheme]bool, len(AllSchemes()))
-	for _, s := range AllSchemes() {
-		known[s] = true
-	}
 	for _, s := range ss {
-		if !known[s] {
-			return fmt.Errorf("sim: unknown scheme %q (known: %v)", s, AllSchemes())
+		if err := CheckScheme(s, false); err != nil {
+			return err
 		}
 	}
 	seen := make(map[string]bool, len(benchmarks))

@@ -1,7 +1,7 @@
 // Event-driven multicore experiments: N cores (each a full L1 scheme
 // rig) sharing one banked L2 through the internal/hier components, with
 // per-core voltage domains. The single construction path with the
-// trace-driven model (buildRig / buildChaosRigOn) plus the calibration
+// trace-driven model (buildRig / buildChaosRig) plus the calibration
 // regression test (hier_test.go) keeps the two models from silently
 // diverging.
 
@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/bbr"
 	"repro/internal/core"
@@ -88,8 +87,8 @@ func (s HierSpec) Validate() error {
 		return err
 	}
 	for i, cs := range s.Cores {
-		if s.schemeFor(i) == "" {
-			return fmt.Errorf("sim: core %d has no scheme", i)
+		if err := CheckScheme(s.schemeFor(i), false); err != nil {
+			return fmt.Errorf("sim: core %d: %w", i, err)
 		}
 		if _, err := dvfs.PointAt(cs.MV); err != nil {
 			return fmt.Errorf("sim: core %d: %w", i, err)
@@ -129,8 +128,8 @@ type HierResult struct {
 	// cover — a datum (lvsim counts it), not an error, on the grid path.
 	YieldFail bool             `json:"yield_fail,omitempty"`
 	Cores     []HierCoreResult `json:"cores"`
-	L2    hier.L2Stats     `json:"l2"`
-	L2MV  int              `json:"l2_mv"`
+	L2        hier.L2Stats     `json:"l2"`
+	L2MV      int              `json:"l2_mv"`
 	// ElapsedFS is the simulated end time in femtoseconds.
 	ElapsedFS int64 `json:"elapsed_fs"`
 	// Events counts kernel events processed (throughput accounting).
@@ -327,7 +326,7 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 		for {
 			op := st.backoff.Current()
 			err := h.SetRig(i, op, spec.CPU, func(next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
-				ic, dc, stream, berr := buildChaosRigOn(spec.Inject, cs.WorkSeed, st.salt, st.prof, st.prog, op, st.seriesI, st.seriesD, st.seg, next)
+				ic, dc, stream, berr := buildChaosRig(spec.Inject, cs.WorkSeed, st.salt, st.prof, st.prog, op, st.seriesI, st.seriesD, st.seg, next)
 				if berr != nil {
 					return nil, nil, nil, berr
 				}
@@ -356,22 +355,18 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 		if berr != nil {
 			return nil, berr
 		}
-		prog, terr := workload.BuildProgram(prof, cs.WorkSeed, func(p *program.Program) (*program.Program, error) {
-			t, _, tErr := bbr.Transform(p, bbr.DefaultTransformConfig())
-			return t, tErr
-		})
+		prog, terr := bbrProgram(prof, cs.WorkSeed)
 		if terr != nil {
 			return nil, terr
 		}
-		states[i] = &hierChaosCore{
-			prof: prof, prog: prog,
-			// Same die-seed salts as SweepDie/RunChaos, so one core's die
-			// is comparable to a single-core campaign on the same seed.
-			seriesI: faultmap.NewSeries(l1Words, rand.New(rand.NewSource(cs.DieSeed*2+11))),
-			seriesD: faultmap.NewSeries(l1Words, rand.New(rand.NewSource(cs.DieSeed*2+12))),
-			backoff: backoff,
-			salt:    int64(i) * 1_000_003, // decorrelate per-core injector streams
+		st := &hierChaosCore{
+			prof: prof, prog: prog, backoff: backoff,
+			salt: int64(i) * 1_000_003, // decorrelate per-core injector streams
 		}
+		// Same die-seed salts as SweepDie/RunChaos, so one core's die is
+		// comparable to a single-core campaign on the same seed.
+		st.seriesI, st.seriesD = dieSeries(cs.DieSeed)
+		states[i] = st
 		if err := rebuild(i); err != nil {
 			return nil, err
 		}

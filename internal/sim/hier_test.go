@@ -97,6 +97,8 @@ func TestHierSpecValidate(t *testing.T) {
 		func(s *HierSpec) { s.Cores = nil },
 		func(s *HierSpec) { s.Instructions = 0 },
 		func(s *HierSpec) { s.Scheme = "" },
+		func(s *HierSpec) { s.Scheme = "zzz" },
+		func(s *HierSpec) { s.Cores[1].Scheme = "zzz" },
 		func(s *HierSpec) { s.L2MV = 123 },
 		func(s *HierSpec) { s.Cores[0].MV = 123 },
 		func(s *HierSpec) { s.Cores[1].Benchmark = "no-such-benchmark" },

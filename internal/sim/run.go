@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bbr"
-	"repro/internal/cacti"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
@@ -20,52 +19,8 @@ import (
 	"repro/internal/ffw"
 	"repro/internal/inject"
 	"repro/internal/program"
-	"repro/internal/schemes"
 	"repro/internal/workload"
 )
-
-// Scheme identifies one evaluated cache configuration (both L1s).
-type Scheme string
-
-// The evaluation set. FFWBBR is the paper's proposal: FFW on the data
-// cache combined with BBR on the instruction cache.
-const (
-	DefectFree    Scheme = "DefectFree"
-	Conventional  Scheme = "Conventional"
-	EightT        Scheme = "8T"
-	SimpleWdis    Scheme = "Simple-wdis"
-	WilkersonPlus Scheme = "Wilkerson+"
-	FBA64         Scheme = "FBA"
-	FBAPlus       Scheme = "FBA+"
-	IDC64         Scheme = "IDC"
-	IDCPlus       Scheme = "IDC+"
-	FFWBBR        Scheme = "FFW+BBR"
-	// SECDEDScheme is the extension baseline: per-word (39,32) ECC — the
-	// related-work class the paper argues is overwhelmed by multi-bit
-	// errors at deep voltage. Not part of the paper's evaluated set.
-	SECDEDScheme Scheme = "SECDED"
-	// BitFixScheme is Wilkerson's second mechanism [4], adapted to word
-	// granularity: a quarter of the cache repairs the rest. Extension
-	// baseline (the paper names it in §III but does not evaluate it).
-	BitFixScheme Scheme = "Bit-fix"
-	// WilkersonPlain is word-disable without the simple-wdis supplement:
-	// it refuses (ErrYield) any fault map with a dead logical slot. The
-	// paper's Fig. 10 note — "Wilkerson's word disable cannot achieve
-	// 99.9% chip yield below 480mV" — shows up as yield failures here.
-	WilkersonPlain Scheme = "Wilkerson"
-)
-
-// EvalSchemes returns the schemes of Figures 10–12, in the paper's
-// presentation order.
-func EvalSchemes() []Scheme {
-	return []Scheme{EightT, SimpleWdis, WilkersonPlus, FBAPlus, IDCPlus, FFWBBR}
-}
-
-// AllSchemes returns every constructible scheme, including the SECDED
-// extension baseline.
-func AllSchemes() []Scheme {
-	return []Scheme{DefectFree, Conventional, EightT, SimpleWdis, WilkersonPlus, FBA64, FBAPlus, IDC64, IDCPlus, FFWBBR, SECDEDScheme, BitFixScheme, WilkersonPlain}
-}
 
 // Config scales the Monte Carlo experiment.
 type Config struct {
@@ -146,21 +101,35 @@ func Run(spec RunSpec) (cpu.Result, error) {
 // RunContext is Run with cooperative cancellation (per-job timeouts in
 // campaign drivers); the context is threaded into the instruction loop.
 func RunContext(ctx context.Context, spec RunSpec) (cpu.Result, error) {
+	fmI, fmD := drawMaps(faultmap.Generate, spec.Op.PfailBit, spec.MapSeed)
+	return runWithMaps(ctx, spec, fmI, fmD)
+}
+
+// runWithMaps is RunContext over caller-supplied fault maps (die sweeps
+// pass voltage-nested maps rather than independent draws).
+func runWithMaps(ctx context.Context, spec RunSpec, fmI, fmD *faultmap.Map) (cpu.Result, error) {
 	next := core.NewNextLevel(core.MemLatencyCycles(spec.Op.FreqMHz))
-	ic, dc, stream, err := buildRig(spec, next)
+	ic, dc, stream, err := buildRigWithMaps(spec, fmI, fmD, next)
 	if err != nil {
 		return cpu.Result{}, err
 	}
 	return cpu.RunContext(ctx, spec.CPU, stream, ic, dc, next, spec.Instructions)
 }
 
-// buildRig draws the fault maps and assembles the spec's program,
-// layout, scheme caches and instruction stream over the provided next
-// level. It is the single construction path shared by the trace-driven
-// RunContext (inline per-core L2) and the event-driven hierarchy (a
-// port-backed next level) — which is how fault injection, BBR linking
-// and frame-disable semantics carry over to multicore runs unchanged.
+// buildRig draws the spec's independent fault maps and assembles its
+// rig over the provided next level.
 func buildRig(spec RunSpec, next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
+	fmI, fmD := drawMaps(faultmap.Generate, spec.Op.PfailBit, spec.MapSeed)
+	return buildRigWithMaps(spec, fmI, fmD, next)
+}
+
+// buildRigWithMaps assembles the spec's program, layout, scheme caches
+// and instruction stream over the given fault maps and next level. It
+// is the single construction path shared by the trace-driven runs
+// (inline per-core L2) and the event-driven hierarchy (a port-backed
+// next level) — which is how fault injection, BBR linking and
+// frame-disable semantics carry over to multicore runs unchanged.
+func buildRigWithMaps(spec RunSpec, fmI, fmD *faultmap.Map, next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
 	prof, err := workload.ByName(spec.Benchmark)
 	if err != nil {
 		return nil, nil, nil, err
@@ -168,195 +137,99 @@ func buildRig(spec RunSpec, next *core.NextLevel) (core.InstrCache, core.DataCac
 	if spec.Instructions == 0 {
 		return nil, nil, nil, errors.New("sim: zero instructions")
 	}
+	row, err := rowFor(spec.Scheme)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if spec.Inject.Enabled() && spec.Scheme != FFWBBR {
+		return nil, nil, nil, fmt.Errorf("sim: runtime fault injection requires scheme %q (got %q)", FFWBBR, spec.Scheme)
+	}
 
-	fmI := drawMap(spec.Op.PfailBit, spec.MapSeed*2+11)
-	fmD := drawMap(spec.Op.PfailBit, spec.MapSeed*2+12)
-
-	// Program and layout. Only BBR transforms and relinks; every other
-	// scheme runs the conventional dense layout.
 	var prog *program.Program
 	var layout program.Layout
-	if spec.Scheme == FFWBBR {
-		prog, err = workload.BuildProgram(prof, spec.WorkSeed, func(p *program.Program) (*program.Program, error) {
-			t, _, terr := bbr.Transform(p, bbr.DefaultTransformConfig())
-			return t, terr
-		})
-		if err != nil {
+	if row.bbr {
+		if prog, err = bbrProgram(prof, spec.WorkSeed); err != nil {
 			return nil, nil, nil, err
 		}
-		pl, lerr := bbr.Link(prog, fmI, 0)
-		if lerr != nil {
-			if errors.Is(lerr, bbr.ErrUnplaceable) {
-				return nil, nil, nil, fmt.Errorf("%w: %v", ErrYield, lerr)
-			}
-			return nil, nil, nil, lerr
+		if layout, err = link(prog, fmI); err != nil {
+			return nil, nil, nil, err
 		}
-		layout = pl
 	} else {
-		prog, err = workload.BuildProgram(prof, spec.WorkSeed, nil)
-		if err != nil {
+		if prog, err = workload.BuildProgram(prof, spec.WorkSeed, nil); err != nil {
 			return nil, nil, nil, err
 		}
 		layout = program.NewSequentialLayout(prog, 0)
 	}
 
-	ic, dc, err := buildCaches(spec, fmI, fmD, next)
+	ic, dc, err := row.build(spec, fmI, fmD, next)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return ic, dc, workload.NewStream(prof, prog, layout, spec.WorkSeed), nil
 }
 
-func drawMap(pfailBit float64, seed int64) *faultmap.Map {
-	if pfailBit <= 0 {
-		return faultmap.New(l1Words)
+// drawMaps draws a run's independent I- and D-side fault maps with gen
+// (faultmap.Generate, or GenerateSECDED for the multi-bit rate).
+func drawMaps(gen func(int, float64, *rand.Rand) *faultmap.Map, pfailBit float64, mapSeed int64) (fmI, fmD *faultmap.Map) {
+	draw := func(seed int64) *faultmap.Map {
+		if pfailBit <= 0 {
+			return faultmap.New(l1Words)
+		}
+		return gen(l1Words, pfailBit, rand.New(rand.NewSource(seed)))
 	}
-	return faultmap.Generate(l1Words, pfailBit, rand.New(rand.NewSource(seed)))
+	return draw(mapSeed*2 + 11), draw(mapSeed*2 + 12)
 }
 
-func drawSECDEDMap(pfailBit float64, seed int64) *faultmap.Map {
-	if pfailBit <= 0 {
-		return faultmap.New(l1Words)
-	}
-	return faultmap.GenerateSECDED(l1Words, pfailBit, rand.New(rand.NewSource(seed)))
+// dieSeries returns one die's voltage-nested I- and D-side fault-map
+// series (the die-seed salts every die driver shares).
+func dieSeries(dieSeed int64) (seriesI, seriesD *faultmap.Series) {
+	return faultmap.NewSeries(l1Words, rand.New(rand.NewSource(dieSeed*2+11))),
+		faultmap.NewSeries(l1Words, rand.New(rand.NewSource(dieSeed*2+12)))
 }
 
-// buildCaches constructs the scheme's instruction and data caches.
-func buildCaches(spec RunSpec, fmI, fmD *faultmap.Map, next *core.NextLevel) (core.InstrCache, core.DataCache, error) {
-	if spec.Inject.Enabled() && spec.Scheme != FFWBBR {
-		return nil, nil, fmt.Errorf("sim: runtime fault injection requires scheme %q (got %q)", FFWBBR, spec.Scheme)
-	}
-	switch spec.Scheme {
-	case DefectFree:
-		return schemes.NewDefectFree(next), schemes.NewDefectFree(next), nil
-	case Conventional:
-		if spec.Op.PfailBit > 0 {
-			return nil, nil, fmt.Errorf("%w: conventional cache below its 760mV Vccmin", ErrYield)
-		}
-		return schemes.NewConventional(next), schemes.NewConventional(next), nil
-	case EightT:
-		return schemes.New8T(next), schemes.New8T(next), nil
-	case SimpleWdis:
-		ic, err := schemes.NewSimpleWdis(fmI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewSimpleWdis(fmD, next)
-		return ic, dc, err
-	case WilkersonPlus:
-		ic, err := schemes.NewWilkersonPlus(fmI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewWilkersonPlus(fmD, next)
-		return ic, dc, err
-	case WilkersonPlain:
-		if !schemes.Coverable(fmI) || !schemes.Coverable(fmD) {
-			return nil, nil, fmt.Errorf("%w: plain word-disable has a dead logical slot", ErrYield)
-		}
-		// On a coverable map the plain scheme behaves exactly like the
-		// supplemented one (the supplement never triggers).
-		ic, err := schemes.NewWilkersonPlus(fmI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewWilkersonPlus(fmD, next)
-		return ic, dc, err
-	case FBA64, FBAPlus:
-		n := 64
-		if spec.Scheme == FBAPlus {
-			n = 1024
-		}
-		ic, err := schemes.NewFBA(fmI, next, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewFBA(fmD, next, n)
-		return ic, dc, err
-	case IDC64, IDCPlus:
-		n := 64
-		if spec.Scheme == IDCPlus {
-			n = 1024
-		}
-		ic, err := schemes.NewIDC(fmI, next, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewIDC(fmD, next, n)
-		return ic, dc, err
-	case FFWBBR:
-		ic, err := bbr.NewICache(fmI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts := ffw.Options{Placement: spec.Placement, Scatter: spec.Scatter}
-		if spec.Inject.Enabled() {
-			// Independent event streams per cache, salted so the I- and
-			// D-side injectors never correlate.
-			injI, ierr := inject.New(l1Words, spec.Op.VoltageMV, spec.Inject.WithSeed(spec.Inject.Seed*2+21))
-			if ierr != nil {
-				return nil, nil, ierr
-			}
-			injD, derr := inject.New(l1Words, spec.Op.VoltageMV, spec.Inject.WithSeed(spec.Inject.Seed*2+22))
-			if derr != nil {
-				return nil, nil, derr
-			}
-			ic.AttachInjector(injI)
-			opts.Injector = injD
-		}
-		dc, err := ffw.New(fmD, next, opts)
-		return ic, dc, err
-	case BitFixScheme:
-		ic, err := schemes.NewBitFix(fmI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewBitFix(fmD, next)
-		return ic, dc, err
-	case SECDEDScheme:
-		// ECC sees only the uncorrectable (>=2 failed bits) words; fresh
-		// maps are drawn from the same seeds at the multi-bit rate.
-		mbI := drawSECDEDMap(spec.Op.PfailBit, spec.MapSeed*2+11)
-		mbD := drawSECDEDMap(spec.Op.PfailBit, spec.MapSeed*2+12)
-		ic, err := schemes.NewSECDED(mbI, next)
-		if err != nil {
-			return nil, nil, err
-		}
-		dc, err := schemes.NewSECDED(mbD, next)
-		return ic, dc, err
-	default:
-		return nil, nil, fmt.Errorf("sim: unknown scheme %q", spec.Scheme)
-	}
+// bbrProgram builds the workload's program through the BBR transform.
+// The transform is fault-map independent; only link depends on the map.
+func bbrProgram(prof workload.Profile, seed int64) (*program.Program, error) {
+	return workload.BuildProgram(prof, seed, func(p *program.Program) (*program.Program, error) {
+		t, _, err := bbr.Transform(p, bbr.DefaultTransformConfig())
+		return t, err
+	})
 }
 
-// L1StaticFactor returns the scheme's combined L1 static-power multiplier
-// from the cacti model (both caches averaged), used by the energy model.
-// Per the paper's methodology, FBA⁺ and IDC⁺ are *granted* the leakage of
-// their realistic 64-entry configurations ("we give an advantage to FBA+
-// and IDC+ in our energy calculation by ignoring the energy overhead of
-// their 1024 entries").
-func L1StaticFactor(s Scheme) float64 {
-	t := cacti.Default45nm()
-	switch s {
-	case DefectFree, Conventional:
-		return 1
-	case EightT:
-		return t.RelativeLeakage(cacti.EightT())
-	case SimpleWdis:
-		return t.RelativeLeakage(cacti.SimpleWdis())
-	case WilkersonPlus, WilkersonPlain:
-		return t.RelativeLeakage(cacti.Wilkerson())
-	case FBA64, FBAPlus:
-		return t.RelativeLeakage(cacti.FBA(64))
-	case IDC64, IDCPlus:
-		return t.RelativeLeakage(cacti.IDC(64))
-	case FFWBBR:
-		return (t.RelativeLeakage(cacti.FFWData()) + t.RelativeLeakage(cacti.BBRInstr())) / 2
-	case SECDEDScheme:
-		return t.RelativeLeakage(cacti.SECDED())
-	case BitFixScheme:
-		return t.RelativeLeakage(cacti.BitFix())
-	default:
-		return 1
+// link places a BBR-transformed program around the I-side fault map; a
+// basic block no chunk can hold is a yield failure.
+func link(prog *program.Program, fmI *faultmap.Map) (program.Layout, error) {
+	layout, err := bbr.Link(prog, fmI, 0)
+	if errors.Is(err, bbr.ErrUnplaceable) {
+		return nil, fmt.Errorf("%w: %v", ErrYield, err)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return layout, nil
+}
+
+// newFFWBBR builds the paper's proposal: a BBR instruction cache and an
+// FFW data cache. When inj is enabled, each cache gets its own injector
+// stream, salted from inj.Seed so the I- and D-side injectors never
+// correlate.
+func newFFWBBR(fmI, fmD *faultmap.Map, next *core.NextLevel, opts ffw.Options, inj inject.Params, mv int) (*bbr.ICache, *ffw.Cache, error) {
+	ic, err := bbr.NewICache(fmI, next)
+	if err != nil {
+		return nil, nil, err
+	}
+	if inj.Enabled() {
+		injI, err := inject.New(l1Words, mv, inj.WithSeed(inj.Seed*2+21))
+		if err != nil {
+			return nil, nil, err
+		}
+		injD, err := inject.New(l1Words, mv, inj.WithSeed(inj.Seed*2+22))
+		if err != nil {
+			return nil, nil, err
+		}
+		ic.AttachInjector(injI)
+		opts.Injector = injD
+	}
+	dc, err := ffw.New(fmD, next, opts)
+	return ic, dc, err
 }

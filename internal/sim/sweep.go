@@ -3,17 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 
-	"repro/internal/bbr"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
 	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/faultmap"
-	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -57,23 +53,17 @@ func SweepDie(scheme Scheme, benchmark string, dieSeed, workSeed int64, instruct
 // baseline goes through the run memo, so sweeping many dies of the same
 // benchmark on one engine simulates it only once.
 func (e *Engine) SweepDie(ctx context.Context, scheme Scheme, benchmark string, dieSeed, workSeed int64, instructions uint64, cfg cpu.Config) (*DieSweep, error) {
-	prof, err := workload.ByName(benchmark)
-	if err != nil {
+	if _, err := workload.ByName(benchmark); err != nil {
 		return nil, err
 	}
 	if instructions == 0 {
 		return nil, errors.New("sim: zero instructions")
 	}
-	if scheme == SECDEDScheme {
-		// SECDED sees second-order (>=2-bit) failures, which need a
-		// different nested threshold than the per-word minimum the Series
-		// tracks; die sweeps do not support it.
-		return nil, errors.New("sim: SECDED is not supported in die sweeps")
+	if err := CheckScheme(scheme, true); err != nil {
+		return nil, err
 	}
 
-	// One nested series per cache of this die.
-	seriesI := faultmap.NewSeries(l1Words, rand.New(rand.NewSource(dieSeed*2+11)))
-	seriesD := faultmap.NewSeries(l1Words, rand.New(rand.NewSource(dieSeed*2+12)))
+	seriesI, seriesD := dieSeries(dieSeed)
 
 	baseline, err := e.Run(ctx, RunSpec{
 		Scheme: Conventional, Benchmark: benchmark, Op: dvfs.Nominal(),
@@ -88,7 +78,8 @@ func (e *Engine) SweepDie(ctx context.Context, scheme Scheme, benchmark string, 
 	ops := dvfs.LowVoltagePoints()
 	points, err := engine.Map(ctx, e.pool, len(ops), func(ctx context.Context, i int) (DiePoint, error) {
 		op := ops[i]
-		r, err := runWithMaps(scheme, prof, op, seriesI.MapAt(op.PfailBit), seriesD.MapAt(op.PfailBit), workSeed, instructions, cfg)
+		spec := RunSpec{Scheme: scheme, Benchmark: benchmark, Op: op, WorkSeed: workSeed, Instructions: instructions, CPU: cfg}
+		r, err := runWithMaps(ctx, spec, seriesI.MapAt(op.PfailBit), seriesD.MapAt(op.PfailBit))
 		if errors.Is(err, ErrYield) {
 			return DiePoint{Op: op}, nil
 		}
@@ -105,48 +96,6 @@ func (e *Engine) SweepDie(ctx context.Context, scheme Scheme, benchmark string, 
 		return nil, err
 	}
 	return &DieSweep{Scheme: scheme, Benchmark: benchmark, Points: points}, nil
-}
-
-// runWithMaps is Run with caller-supplied fault maps (used by die sweeps,
-// which need voltage-nested maps rather than independent draws).
-func runWithMaps(scheme Scheme, prof workload.Profile, op dvfs.OperatingPoint,
-	fmI, fmD *faultmap.Map, workSeed int64, instructions uint64, cfg cpu.Config) (cpu.Result, error) {
-
-	next := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
-	var prog *program.Program
-	var layout program.Layout
-	var err error
-	if scheme == FFWBBR {
-		prog, err = workload.BuildProgram(prof, workSeed, func(p *program.Program) (*program.Program, error) {
-			t, _, terr := bbr.Transform(p, bbr.DefaultTransformConfig())
-			return t, terr
-		})
-		if err != nil {
-			return cpu.Result{}, err
-		}
-		pl, lerr := bbr.Link(prog, fmI, 0)
-		if lerr != nil {
-			if errors.Is(lerr, bbr.ErrUnplaceable) {
-				return cpu.Result{}, fmt.Errorf("%w: %v", ErrYield, lerr)
-			}
-			return cpu.Result{}, lerr
-		}
-		layout = pl
-	} else {
-		prog, err = workload.BuildProgram(prof, workSeed, nil)
-		if err != nil {
-			return cpu.Result{}, err
-		}
-		layout = program.NewSequentialLayout(prog, 0)
-	}
-
-	spec := RunSpec{Scheme: scheme, Op: op, CPU: cfg}
-	ic, dc, err := buildCaches(spec, fmI, fmD, next)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	stream := workload.NewStream(prof, prog, layout, workSeed)
-	return cpu.Run(cfg, stream, ic, dc, next, instructions)
 }
 
 // OptimalPoint returns the sweep's energy-minimal legal operating point,

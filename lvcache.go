@@ -157,6 +157,9 @@ const (
 	SECDEDScheme = sim.SECDEDScheme
 	// BitFixScheme is the word-granularity bit-fix extension baseline.
 	BitFixScheme = sim.BitFixScheme
+	// WilkersonPlain is word-disable without the simple-wdis supplement;
+	// it reports a yield failure on any map with a dead logical slot.
+	WilkersonPlain = sim.WilkersonPlain
 )
 
 // EvalSchemes returns the schemes of the paper's Figures 10–12.

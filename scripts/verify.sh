@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification gate. Run from the repository root.
 #
+#   gofmt  — every Go file outside testdata/ is gofmt-clean
 #   build  — everything compiles, including examples and testdata-free cmds
 #   vet    — stdlib vet checks
 #   lvlint — the repo's own analyzers (detflow, unitcheck, unitflow,
@@ -11,6 +12,9 @@
 #            hotalloc); nonzero exit on any finding
 #   test   — full unit/integration suite, shuffled (-shuffle=on) so
 #            order-dependent tests cannot hide behind file order
+#   perfbench — vet and test the benchmark harness module (its golden
+#            output digests), so a change to an internal API or output
+#            the benchmark depends on fails here, not in a benchmark run
 #   race   — race detector on the packages with shared mutable state
 #            (the run scheduler, the simulator fan-out, the cache model
 #            it drives, the fault-injection/back-off layers the chaos
@@ -30,6 +34,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo '== gofmt -l'
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo '== go build ./...'
 go build ./...
 
@@ -41,6 +53,10 @@ go run ./cmd/lvlint ./...
 
 echo '== go test -shuffle=on ./...'
 go test -shuffle=on ./...
+
+echo '== go -C perfbench vet ./... && go -C perfbench test ./...'
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo '== go test -race ./internal/engine/... ./internal/sim/... ./internal/cache/... ./internal/inject/... ./internal/dvfs/... ./internal/dist/... ./internal/event/... ./internal/hier/... ./internal/serve/...'
 go test -race ./internal/engine/... ./internal/sim/... ./internal/cache/... ./internal/inject/... ./internal/dvfs/... ./internal/dist/... ./internal/event/... ./internal/hier/... ./internal/serve/...
