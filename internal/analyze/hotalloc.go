@@ -8,7 +8,8 @@ import (
 )
 
 // Hotalloc polices the per-access hot paths of the core model —
-// packages whose import path ends in cpu, ffw or bbr. Every cache
+// packages whose import path ends in cpu, ffw, bbr, core, cache or
+// schemes. Every cache
 // access walks these loops, so a map or slice literal, make, new,
 // append or explicit interface boxing inside one turns a Monte Carlo
 // campaign's inner loop into an allocator benchmark. Value-typed
@@ -21,8 +22,7 @@ var Hotalloc = &Analyzer{
 }
 
 func runHotalloc(pass *Pass) {
-	tail := pass.Pkg.Path
-	if !pkgTail(tail, "cpu") && !pkgTail(tail, "ffw") && !pkgTail(tail, "bbr") {
+	if !hotPackage(pass.Pkg.Path) {
 		return
 	}
 	info := pass.TypesInfo()
@@ -45,6 +45,20 @@ func runHotalloc(pass *Pass) {
 			}
 		}
 	}
+}
+
+// hotPackages are the import-path tails of the per-access layers.
+// workload stays out because ByName's error path appends in a loop
+// that is off the hot path.
+var hotPackages = []string{"cpu", "ffw", "bbr", "core", "cache", "schemes"}
+
+func hotPackage(path string) bool {
+	for _, tail := range hotPackages {
+		if pkgTail(path, tail) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkHotNode reports allocation sites in one in-loop CFG node.

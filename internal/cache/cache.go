@@ -170,20 +170,14 @@ func WordInBlock(addr uint64) int { return int(addr>>wordShift) & wordInBlockMsk
 func WordAddr(addr uint64) uint64 { return addr >> wordShift }
 
 // Index returns the set index of addr.
-func (c Config) Index(addr uint64) int {
-	return int(BlockAddr(addr) % uint64(c.Sets()))
-}
+func (c Config) Index(addr uint64) int { return c.Geometry().Index(addr) }
 
 // Tag returns the tag of addr.
-func (c Config) Tag(addr uint64) uint64 {
-	return BlockAddr(addr) / uint64(c.Sets())
-}
+func (c Config) Tag(addr uint64) uint64 { return c.Geometry().Tag(addr) }
 
 // DMWay returns the way that the least-significant tag bits select in
 // direct-mapped mode.
-func (c Config) DMWay(addr uint64) int {
-	return int(c.Tag(addr) % uint64(c.Ways))
-}
+func (c Config) DMWay(addr uint64) int { return c.Geometry().DMWay(addr) }
 
 // DMSlot returns the unique direct-mapped frame number (0..Blocks()-1)
 // that addr maps to in direct-mapped mode. Software (the BBR linker)
@@ -197,7 +191,7 @@ func (c Config) DMSlot(addr uint64) int {
 // (and fault map) of word `word` of the frame at (set, way). Frames are
 // laid out set-major: frame = set*Ways + way.
 func (c Config) FrameWordIndex(set, way, word int) int {
-	return (set*c.Ways+way)*WordsPerBlock + word
+	return c.Geometry().FrameWordIndex(set, way, word)
 }
 
 // DMImageWordIndex maps a position in the direct-mapped linear image of
@@ -207,11 +201,79 @@ func (c Config) FrameWordIndex(set, way, word int) int {
 // (set = slot mod Sets(), way = slot / Sets()); the BBR linker scans the
 // image linearly, so it needs this permutation to consult the physical
 // fault map.
-func (c Config) DMImageWordIndex(i int) int {
+func (c Config) DMImageWordIndex(i int) int { return c.Geometry().DMImageWordIndex(i) }
+
+// Geometry is a configuration's address arithmetic with every constant
+// precomputed: the per-access layers build one when they are constructed
+// and never divide by the set count again. Validate requires a
+// power-of-two set count, so the set index and tag are a mask and a
+// shift; the way count and the word count fall back to a modulus when
+// they are not powers of two. A Geometry built from a configuration
+// that fails Validate gives unspecified results.
+type Geometry struct {
+	setShift  uint
+	setMask   uint64
+	ways      int
+	wayMask   uint64 // ways-1; used only when wayPow2
+	wayPow2   bool
+	words     int
+	wordMask  uint64 // words-1; used only when wordsPow2
+	wordsPow2 bool
+}
+
+// Geometry returns the precomputed address arithmetic of c.
+func (c Config) Geometry() Geometry {
+	sets, words := c.Sets(), c.Words()
+	return Geometry{
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		ways:      c.Ways,
+		wayMask:   uint64(c.Ways - 1),
+		wayPow2:   bits.OnesCount(uint(c.Ways)) == 1,
+		words:     words,
+		wordMask:  uint64(words - 1),
+		wordsPow2: bits.OnesCount(uint(words)) == 1,
+	}
+}
+
+// Index returns the set index of addr.
+func (g Geometry) Index(addr uint64) int { return int(BlockAddr(addr) & g.setMask) }
+
+// Tag returns the tag of addr.
+func (g Geometry) Tag(addr uint64) uint64 { return BlockAddr(addr) >> g.setShift }
+
+// DMWay returns the way that the least-significant tag bits select in
+// direct-mapped mode.
+func (g Geometry) DMWay(addr uint64) int {
+	if g.wayPow2 {
+		return int(g.Tag(addr) & g.wayMask)
+	}
+	return int(g.Tag(addr) % uint64(g.ways))
+}
+
+// FrameWordIndex returns the physical word index of word `word` of the
+// frame at (set, way); see Config.FrameWordIndex.
+func (g Geometry) FrameWordIndex(set, way, word int) int {
+	return (set*g.ways+way)*WordsPerBlock + word
+}
+
+// DMImageWordIndex maps direct-mapped image position i to its physical
+// word index; see Config.DMImageWordIndex.
+func (g Geometry) DMImageWordIndex(i int) int {
 	slot := i / WordsPerBlock
 	word := i % WordsPerBlock
-	set, way := slot%c.Sets(), slot/c.Sets()
-	return c.FrameWordIndex(set, way, word)
+	set, way := int(uint64(slot)&g.setMask), int(uint64(slot)>>g.setShift)
+	return g.FrameWordIndex(set, way, word)
+}
+
+// ImagePos returns the direct-mapped image position (in [0, Words()))
+// of the word at byte address addr: its word address modulo the cache
+// size in words.
+func (g Geometry) ImagePos(addr uint64) int {
+	if g.wordsPow2 {
+		return int(WordAddr(addr) & g.wordMask)
+	}
+	return int(WordAddr(addr) % uint64(g.words))
 }
 
 // Stats counts cache events.
@@ -256,6 +318,7 @@ type line struct {
 // Cache is a tag-array simulator for one cache level.
 type Cache struct {
 	cfg   Config
+	geo   Geometry
 	mode  Mode
 	sets  [][]line
 	plru  []uint32 // per-set tree bits (ReplacePLRU)
@@ -274,7 +337,7 @@ func New(cfg Config) (*Cache, error) {
 	for i := range sets {
 		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
 	}
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), sets: sets}
 	switch cfg.Replacement {
 	case ReplacePLRU:
 		c.plru = make([]uint32, cfg.Sets())
@@ -381,10 +444,10 @@ func (c *Cache) DisabledFrames() int {
 
 // lookup returns the set and hit way (or -1).
 func (c *Cache) lookup(addr uint64) (set int, way int) {
-	set = c.cfg.Index(addr)
-	tag := c.cfg.Tag(addr)
+	set = c.geo.Index(addr)
+	tag := c.geo.Tag(addr)
 	if c.mode == DirectMapped {
-		w := c.cfg.DMWay(addr)
+		w := c.geo.DMWay(addr)
 		if l := &c.sets[set][w]; l.valid && l.tag == tag {
 			return set, w
 		}
@@ -411,7 +474,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // fill.
 func (c *Cache) victim(addr uint64, set int) int {
 	if c.mode == DirectMapped {
-		if w := c.cfg.DMWay(addr); !c.sets[set][w].disabled {
+		if w := c.geo.DMWay(addr); !c.sets[set][w].disabled {
 			return w
 		}
 		return -1
@@ -541,7 +604,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.stats.WriteBacks++
 		}
 	}
-	*l = line{tag: c.cfg.Tag(addr), valid: true, lru: c.tick}
+	*l = line{tag: c.geo.Tag(addr), valid: true, lru: c.tick}
 	if c.plru != nil {
 		c.plruTouch(set, w)
 	}

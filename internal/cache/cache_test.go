@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -446,5 +447,75 @@ func TestReplacementString(t *testing.T) {
 	}
 	if Replacement(7).String() != "Replacement(7)" {
 		t.Error("unknown Replacement.String broken")
+	}
+}
+
+// TestGeometryMatchesDivision checks the precomputed shift/mask
+// arithmetic against the division formulas it replaces, on power-of-two
+// and non-power-of-two way counts.
+func TestGeometryMatchesDivision(t *testing.T) {
+	cfgs := []Config{
+		L1Config("L1"),
+		L2Config(),
+		{Name: "3way", SizeBytes: 6 * 1024, Ways: 3, HitLatency: 1},
+		{Name: "1way", SizeBytes: 4 * 1024, Ways: 1, HitLatency: 1},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		g := cfg.Geometry()
+		sets, ways, words := uint64(cfg.Sets()), uint64(cfg.Ways), uint64(cfg.Words())
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint64()
+			if i%2 == 0 {
+				addr >>= rng.Intn(64)
+			}
+			block := addr / BlockBytes
+			set, tag := int(block%sets), block/sets
+			way := int(tag % ways)
+			if got := g.Index(addr); got != set {
+				t.Fatalf("%s: Index(%#x) = %d, want %d", cfg.Name, addr, got, set)
+			}
+			if got := g.Tag(addr); got != tag {
+				t.Fatalf("%s: Tag(%#x) = %d, want %d", cfg.Name, addr, got, tag)
+			}
+			if got := g.DMWay(addr); got != way {
+				t.Fatalf("%s: DMWay(%#x) = %d, want %d", cfg.Name, addr, got, way)
+			}
+			if got, want := g.ImagePos(addr), int(addr/WordBytes%words); got != want {
+				t.Fatalf("%s: ImagePos(%#x) = %d, want %d", cfg.Name, addr, got, want)
+			}
+			word := rng.Intn(WordsPerBlock)
+			if got, want := g.FrameWordIndex(set, way, word), (set*cfg.Ways+way)*WordsPerBlock+word; got != want {
+				t.Fatalf("%s: FrameWordIndex(%d,%d,%d) = %d, want %d", cfg.Name, set, way, word, got, want)
+			}
+			pos := rng.Intn(cfg.Words())
+			slot := pos / WordsPerBlock
+			want := (slot%cfg.Sets()*cfg.Ways+slot/cfg.Sets())*WordsPerBlock + pos%WordsPerBlock
+			if got := g.DMImageWordIndex(pos); got != want {
+				t.Fatalf("%s: DMImageWordIndex(%d) = %d, want %d", cfg.Name, pos, got, want)
+			}
+			if cfg.Index(addr) != set || cfg.Tag(addr) != tag || cfg.DMWay(addr) != way || cfg.DMImageWordIndex(pos) != want {
+				t.Fatalf("%s: Config delegates disagree with Geometry at %#x/%d", cfg.Name, addr, pos)
+			}
+		}
+	}
+}
+
+func TestDMImageWordIndexIsPermutation(t *testing.T) {
+	cfg := L1Config("L1I")
+	g, words := cfg.Geometry(), cfg.Words()
+	seen := make([]bool, words)
+	for i := 0; i < words; i++ {
+		p := g.DMImageWordIndex(i)
+		if p < 0 || p >= words {
+			t.Fatalf("DMImageWordIndex(%d) = %d, outside [0, %d)", i, p, words)
+		}
+		if seen[p] {
+			t.Fatalf("DMImageWordIndex(%d) = %d, already taken", i, p)
+		}
+		seen[p] = true
 	}
 }

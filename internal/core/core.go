@@ -42,7 +42,9 @@ type DataCache interface {
 	// Name identifies the scheme (for reports).
 	Name() string
 	// HitLatency is the cycle cost of a hit, including any scheme
-	// overhead on the critical path (Table III's latency column).
+	// overhead on the critical path (Table III's latency column). It
+	// is constant for the cache's lifetime: the cpu loop reads it once
+	// per run.
 	HitLatency() int
 	// Read performs a load of the word at addr.
 	Read(addr uint64) AccessOutcome
@@ -54,6 +56,9 @@ type DataCache interface {
 // scheme.
 type InstrCache interface {
 	Name() string
+	// HitLatency is the cycle cost of a hit, scheme overhead included.
+	// It is constant for the cache's lifetime: the cpu loop reads it
+	// once per run.
 	HitLatency() int
 	// Fetch performs an instruction fetch of the word at addr.
 	Fetch(addr uint64) AccessOutcome
@@ -117,20 +122,24 @@ type NextLevel struct {
 	drains      uint64 // block-granularity L2 writes after coalescing
 
 	// Coalescing write buffer: FIFO of block addresses with pending
-	// stores. A store to a buffered block merges for free.
-	wb []uint64
+	// stores, oldest first in wb[:wbLen]. A store to a buffered block
+	// merges for free. Entries shift in place, so the buffer never
+	// allocates.
+	wb    [WriteBufferEntries]uint64
+	wbLen int
 }
 
 // l2Memory is the default Lower: the paper's private 512 KB write-back
 // L2 over a fixed-cycle-latency memory.
 type l2Memory struct {
 	l2         *cache.Cache
+	hitLatency int
 	memLatency int
 }
 
 func (m *l2Memory) ReadBlock(addr uint64) (int, bool) {
 	res := m.l2.Access(addr, false)
-	latency := m.l2.Config().HitLatency
+	latency := m.hitLatency
 	if !res.Hit {
 		latency += m.memLatency
 		// A dirty victim writes back to memory off the critical path; it
@@ -150,12 +159,12 @@ func NewNextLevel(memLatencyCycles int) *NextLevel {
 		//lvlint:ignore nopanic documented constructor guard: latency is a static config decision, not runtime input
 		panic(fmt.Sprintf("core: memory latency %d cycles must be >= 1", memLatencyCycles))
 	}
-	l2 := cache.MustNew(cache.L2Config())
+	cfg := cache.L2Config()
+	l2 := cache.MustNew(cfg)
 	return &NextLevel{
 		l2:         l2,
-		lower:      &l2Memory{l2: l2, memLatency: memLatencyCycles},
+		lower:      &l2Memory{l2: l2, hitLatency: cfg.HitLatency, memLatency: memLatencyCycles},
 		memLatency: memLatencyCycles,
-		wb:         make([]uint64, 0, WriteBufferEntries),
 	}
 }
 
@@ -168,10 +177,7 @@ func NewNextLevelOver(lower Lower) *NextLevel {
 		//lvlint:ignore nopanic documented constructor guard: the backend is a static wiring decision, not runtime input
 		panic("core: nil Lower backend")
 	}
-	return &NextLevel{
-		lower: lower,
-		wb:    make([]uint64, 0, WriteBufferEntries),
-	}
+	return &NextLevel{lower: lower}
 }
 
 // L2 exposes the inline L2 simulator of the default backend (read-only
@@ -188,12 +194,9 @@ func (n *NextLevel) MemLatency() int { return n.memLatency }
 // hit.
 func (n *NextLevel) ReadBlock(addr uint64) (latency int, l2Hit bool) {
 	block := cache.BlockAddr(addr)
-	for i, b := range n.wb {
-		if b == block {
-			n.wb = append(n.wb[:i], n.wb[i+1:]...)
-			n.drain(block, true)
-			break
-		}
+	if i := n.wbFind(block); i >= 0 {
+		n.wbRemove(i)
+		n.drain(block, true)
 	}
 	n.demandReads++
 	latency, l2Hit = n.lower.ReadBlock(addr)
@@ -218,19 +221,32 @@ func (n *NextLevel) drain(block uint64, forRead bool) {
 func (n *NextLevel) WriteWord(addr uint64) {
 	n.wordWrites++
 	block := cache.BlockAddr(addr)
-	for i, b := range n.wb {
-		if b == block {
-			// Coalesce: refresh the entry's position (LRU-ish FIFO).
-			n.wb = append(append(n.wb[:i], n.wb[i+1:]...), block)
-			return
-		}
-	}
-	if len(n.wb) >= WriteBufferEntries {
+	if i := n.wbFind(block); i >= 0 {
+		// Coalesce: refresh the entry's position (LRU-ish FIFO).
+		n.wbRemove(i)
+	} else if n.wbLen == WriteBufferEntries {
 		oldest := n.wb[0]
-		n.wb = n.wb[1:]
+		n.wbRemove(0)
 		n.drain(oldest, false)
 	}
-	n.wb = append(n.wb, block)
+	n.wb[n.wbLen] = block
+	n.wbLen++
+}
+
+// wbFind returns the buffer position of block, or -1.
+func (n *NextLevel) wbFind(block uint64) int {
+	for i, b := range n.wb[:n.wbLen] {
+		if b == block {
+			return i
+		}
+	}
+	return -1
+}
+
+// wbRemove deletes the entry at position i, keeping the rest in order.
+func (n *NextLevel) wbRemove(i int) {
+	copy(n.wb[i:n.wbLen], n.wb[i+1:n.wbLen])
+	n.wbLen--
 }
 
 // DemandReads returns the number of demand read accesses sent below

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 func TestMemLatencyCycles(t *testing.T) {
@@ -156,5 +159,124 @@ func TestWriteBufferCoalescingRatio(t *testing.T) {
 	ratio := float64(n.BlockDrains()) / float64(n.WordWrites())
 	if ratio > 0.05 {
 		t.Errorf("coalescing ratio = %.3f drains/word, want <= 0.05", ratio)
+	}
+}
+
+// drainEvent is one WriteBlock call seen by a recording Lower.
+type drainEvent struct {
+	block   uint64
+	forRead bool
+}
+
+// recordingLower logs every drain and answers every read as an L2 hit.
+type recordingLower struct {
+	drains []drainEvent
+}
+
+func (r *recordingLower) ReadBlock(uint64) (int, bool) { return 10, true }
+
+func (r *recordingLower) WriteBlock(block uint64, forRead bool) {
+	r.drains = append(r.drains, drainEvent{block, forRead})
+}
+
+// refWriteBuffer is the slice-backed FIFO NextLevel's write buffer is
+// specified by: coalescing moves an entry to the back, a full buffer
+// drains its oldest entry, and a demand read drains a matching entry
+// first.
+type refWriteBuffer struct {
+	lower                           Lower
+	wb                              []uint64
+	demandReads, wordWrites, drains uint64
+}
+
+func (n *refWriteBuffer) ReadBlock(addr uint64) {
+	block := cache.BlockAddr(addr)
+	for i, b := range n.wb {
+		if b == block {
+			n.wb = append(n.wb[:i], n.wb[i+1:]...)
+			n.drains++
+			n.lower.WriteBlock(block, true)
+			break
+		}
+	}
+	n.demandReads++
+	n.lower.ReadBlock(addr)
+}
+
+func (n *refWriteBuffer) WriteWord(addr uint64) {
+	n.wordWrites++
+	block := cache.BlockAddr(addr)
+	for i, b := range n.wb {
+		if b == block {
+			n.wb = append(append(n.wb[:i], n.wb[i+1:]...), block)
+			return
+		}
+	}
+	if len(n.wb) >= WriteBufferEntries {
+		oldest := n.wb[0]
+		n.wb = n.wb[1:]
+		n.drains++
+		n.lower.WriteBlock(oldest, false)
+	}
+	n.wb = append(n.wb, block)
+}
+
+func TestWriteBufferMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// A block pool a little larger than the buffer exercises
+		// coalescing, overflow drains and read-forced drains alike.
+		pool := WriteBufferEntries + 1 + rng.Intn(2*WriteBufferEntries)
+		gotLow, wantLow := &recordingLower{}, &recordingLower{}
+		got := NewNextLevelOver(gotLow)
+		want := &refWriteBuffer{lower: wantLow}
+		for i := 0; i < 5000; i++ {
+			addr := uint64(rng.Intn(pool))*cache.BlockBytes + uint64(rng.Intn(cache.WordsPerBlock))*cache.WordBytes
+			if rng.Intn(4) == 0 {
+				got.ReadBlock(addr)
+				want.ReadBlock(addr)
+			} else {
+				got.WriteWord(addr)
+				want.WriteWord(addr)
+			}
+		}
+		if len(gotLow.drains) != len(wantLow.drains) {
+			t.Fatalf("seed %d: %d drains, reference %d", seed, len(gotLow.drains), len(wantLow.drains))
+		}
+		for i := range gotLow.drains {
+			if gotLow.drains[i] != wantLow.drains[i] {
+				t.Fatalf("seed %d: drain %d = %+v, reference %+v", seed, i, gotLow.drains[i], wantLow.drains[i])
+			}
+		}
+		if got.DemandReads() != want.demandReads || got.WordWrites() != want.wordWrites || got.BlockDrains() != want.drains {
+			t.Errorf("seed %d: counters (reads %d, words %d, drains %d), reference (%d, %d, %d)", seed,
+				got.DemandReads(), got.WordWrites(), got.BlockDrains(), want.demandReads, want.wordWrites, want.drains)
+		}
+	}
+}
+
+func TestWriteBufferDrainDoesNotAllocate(t *testing.T) {
+	n := NewNextLevel(100)
+	block := uint64(0)
+	write := func() {
+		n.WriteWord(block * cache.BlockBytes)
+		block++
+	}
+	for i := 0; i < WriteBufferEntries; i++ {
+		write()
+	}
+	// Every write names a fresh block, so each one drains the oldest
+	// entry of a full buffer. Many per run, so an occasional regrowth
+	// cannot average out to zero.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			write()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("draining WriteWord allocates %.1f times per 64 calls, want 0", allocs)
+	}
+	if n.BlockDrains() == 0 {
+		t.Fatal("no drains: the test did not exercise the overflow path")
 	}
 }

@@ -154,6 +154,9 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 	var r Result
 	issue := 1 / float64(cfg.Width)
 	l2Before, memBefore := next.DemandReads(), next.MemReads()
+	// Hit latencies are constant for a cache's lifetime (see
+	// core.InstrCache), so the loop reads them once.
+	icHit, dcHit := ic.HitLatency(), dc.HitLatency()
 
 	// Transform overhead is bounded (≤1 jump per block visit), so the
 	// executed total is capped defensively at 2n plus slack.
@@ -177,8 +180,8 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 		fo := ic.Fetch(in.PC)
 		if !fo.Hit {
 			r.FetchMisses++
-			r.MemCycles += float64(fo.Latency - ic.HitLatency())
-		} else if extra := fo.Latency - ic.HitLatency(); extra > 0 {
+			r.MemCycles += float64(fo.Latency - icHit)
+		} else if extra := fo.Latency - icHit; extra > 0 {
 			// A hit slower than the hit latency is a detected-fault
 			// retry/recovery stall injected by the fault layer.
 			r.RecoveryCycles += float64(extra)
@@ -190,11 +193,11 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 			do := dc.Read(in.MemAddr)
 			if !do.Hit {
 				r.LoadMisses++
-				r.MemCycles += float64(do.Latency - dc.HitLatency())
-			} else if extra := do.Latency - dc.HitLatency(); extra > 0 {
+				r.MemCycles += float64(do.Latency - dcHit)
+			} else if extra := do.Latency - dcHit; extra > 0 {
 				r.RecoveryCycles += float64(extra)
 			}
-			if extra := dc.HitLatency() - designHitLatency; extra > 0 {
+			if extra := dcHit - designHitLatency; extra > 0 {
 				r.L1Cycles += float64(extra) * cfg.LoadExposure
 			}
 		case program.KindStore:
@@ -206,7 +209,7 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 				r.TakenBranches++
 				// Predicted redirects hide the design-point fetch
 				// latency; extra L1I latency bubbles the front end.
-				if extra := ic.HitLatency() - designHitLatency; extra > 0 {
+				if extra := icHit - designHitLatency; extra > 0 {
 					r.L1Cycles += float64(extra)
 				}
 			}
@@ -214,7 +217,7 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 				r.Mispredicts++
 				r.BaseCycles += float64(cfg.MispredictPenalty)
 				// The recovery refill goes through the L1I.
-				r.L1Cycles += float64(ic.HitLatency())
+				r.L1Cycles += float64(icHit)
 			}
 		case program.KindALU:
 			// Register-to-register work is covered by the base CPI.
@@ -223,7 +226,7 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 		if in.DependsOnLoad {
 			// Back-to-back consumer: expose hit latency minus the
 			// forwarded cycle.
-			r.L1Cycles += float64(dc.HitLatency() - 1)
+			r.L1Cycles += float64(dcHit - 1)
 		}
 	}
 	r.L2Reads = next.DemandReads() - l2Before

@@ -4,6 +4,10 @@ package program
 // conventional linker packs blocks densely in order (SequentialLayout);
 // BBR's linker inserts gaps so blocks land on fault-free chunks
 // (package bbr).
+//
+// A layout must not change while a workload.Stream reads it: the
+// stream resolves a block's address once per block visit, not once per
+// instruction.
 type Layout interface {
 	// BlockAddr returns the starting byte address of the block's first
 	// instruction.

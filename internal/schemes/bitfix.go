@@ -19,6 +19,7 @@ import (
 // behaves like simple word disable.
 type BitFix struct {
 	cfg  cache.Config
+	geo  cache.Geometry
 	next *core.NextLevel
 	sets [][]mline // Sets() x (Ways-1) data frames
 	tick uint64
@@ -42,7 +43,7 @@ func NewBitFix(fm *faultmap.Map, next *core.NextLevel) (*BitFix, error) {
 	if next == nil {
 		return nil, errNilNext
 	}
-	b := &BitFix{cfg: cfg, next: next}
+	b := &BitFix{cfg: cfg, geo: cfg.Geometry(), next: next}
 	dataWays := cfg.Ways - 1
 	b.sets = make([][]mline, cfg.Sets())
 	lines := make([]mline, cfg.Sets()*dataWays)
@@ -98,8 +99,8 @@ func (b *BitFix) Stats() WdisStats { return b.stats }
 
 func (b *BitFix) lookup(addr uint64, allocate bool) lookupResult {
 	b.tick++
-	set := b.cfg.Index(addr)
-	tag := b.cfg.Tag(addr)
+	set := b.geo.Index(addr)
+	tag := b.geo.Tag(addr)
 	word := cache.WordInBlock(addr)
 	for w := range b.sets[set] {
 		l := &b.sets[set][w]

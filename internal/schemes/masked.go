@@ -13,6 +13,7 @@ import (
 // outcome and whether the requested word's physical entry is usable.
 type maskedCache struct {
 	cfg  cache.Config
+	geo  cache.Geometry
 	sets [][]mline
 	tick uint64
 }
@@ -36,7 +37,7 @@ func newMaskedCache(name string, fm *faultmap.Map) (*maskedCache, error) {
 	if fm.Words() != cfg.Words() {
 		return nil, fmt.Errorf("schemes: fault map covers %d words, cache has %d", fm.Words(), cfg.Words())
 	}
-	m := &maskedCache{cfg: cfg}
+	m := &maskedCache{cfg: cfg, geo: cfg.Geometry()}
 	m.sets = make([][]mline, cfg.Sets())
 	lines := make([]mline, cfg.Blocks())
 	for s := range m.sets {
@@ -56,8 +57,8 @@ func newMaskedCache(name string, fm *faultmap.Map) (*maskedCache, error) {
 // neighbours still benefit). touch=false probes without state change.
 func (m *maskedCache) access(addr uint64, allocate bool) lookupResult {
 	m.tick++
-	set := m.cfg.Index(addr)
-	tag := m.cfg.Tag(addr)
+	set := m.geo.Index(addr)
+	tag := m.geo.Tag(addr)
 	word := cache.WordInBlock(addr)
 	for w := range m.sets[set] {
 		l := &m.sets[set][w]

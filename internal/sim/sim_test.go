@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
 	"repro/internal/ffw"
+	"repro/internal/inject"
 	"repro/internal/workload"
 )
 
@@ -388,5 +391,46 @@ func TestWilkersonPlainYieldWall(t *testing.T) {
 	}
 	if fail400 != 6 {
 		t.Errorf("plain Wilkerson should refuse all 6 dies at 400mV, refused %d", fail400)
+	}
+}
+
+// TestHitLatencyConstantAcrossRun pins the contract cpu.RunClocked
+// relies on when it reads each cache's HitLatency once per run: every
+// scheme's built caches report the same hit latency before and after a
+// run, including FFW+BBR with runtime fault injection (whose recoveries
+// disable frames and refetch blocks mid-run).
+func TestHitLatencyConstantAcrossRun(t *testing.T) {
+	type tc struct {
+		name string
+		spec RunSpec
+	}
+	var cases []tc
+	for _, s := range AllSchemes() {
+		cases = append(cases, tc{string(s), RunSpec{Scheme: s, Benchmark: "basicmath", Op: op(t, 400),
+			MapSeed: 3, WorkSeed: 3, Instructions: 20_000, CPU: cpu.DefaultConfig()}})
+	}
+	cases = append(cases, tc{"FFW+BBR/inject", RunSpec{Scheme: FFWBBR, Benchmark: "basicmath", Op: op(t, 400),
+		MapSeed: 3, WorkSeed: 3, Instructions: 20_000, CPU: cpu.DefaultConfig(),
+		Inject: inject.Params{Seed: 5, Intensity: 3}}})
+	for _, c := range cases {
+		next := core.NewNextLevel(core.MemLatencyCycles(c.spec.Op.FreqMHz))
+		ic, dc, stream, err := buildRig(c.spec, next)
+		if errors.Is(err, ErrYield) {
+			// Conventional and plain Wilkerson cannot run at 400 mV;
+			// their caches are checked at the nominal point instead.
+			c.spec.Op = dvfs.Nominal()
+			next = core.NewNextLevel(core.MemLatencyCycles(c.spec.Op.FreqMHz))
+			ic, dc, stream, err = buildRig(c.spec, next)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		iBefore, dBefore := ic.HitLatency(), dc.HitLatency()
+		if _, err := cpu.RunContext(context.Background(), c.spec.CPU, stream, ic, dc, next, c.spec.Instructions); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ic.HitLatency() != iBefore || dc.HitLatency() != dBefore {
+			t.Errorf("%s: hit latency I %d->%d, D %d->%d across a run", c.name, iBefore, ic.HitLatency(), dBefore, dc.HitLatency())
+		}
 	}
 }

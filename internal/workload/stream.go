@@ -42,9 +42,12 @@ type Stream struct {
 	data   *DataGen
 	rng    *rand.Rand
 
-	// Current block being drained.
+	// Current block being drained, with its block record and start
+	// address resolved once per visit.
 	blk      program.BlockID
 	blkTaken bool
+	b        *program.BasicBlock
+	base     uint64
 	pos      int // next instruction word within the block
 	n        int // executed words of the current block
 
@@ -71,8 +74,10 @@ func NewStream(prof Profile, prog *program.Program, layout program.Layout, seed 
 
 func (s *Stream) advanceBlock() {
 	s.blk, s.blkTaken = s.walker.Next()
+	s.b = &s.prog.Blocks[s.blk]
+	s.base = s.layout.BlockAddr(s.blk)
 	s.pos = 0
-	s.n = program.ExecutedWords(&s.prog.Blocks[s.blk], s.blkTaken)
+	s.n = program.ExecutedWords(s.b, s.blkTaken)
 }
 
 // Next returns the next dynamic instruction.
@@ -80,9 +85,9 @@ func (s *Stream) Next() Instr {
 	for s.pos >= s.n {
 		s.advanceBlock()
 	}
-	b := &s.prog.Blocks[s.blk]
+	b := s.b
 	in := Instr{
-		PC:       s.layout.BlockAddr(s.blk) + uint64(4*s.pos),
+		PC:       s.base + uint64(4*s.pos),
 		Kind:     b.Kinds[s.pos],
 		Overhead: b.TransformAdded && s.pos == b.Size-1,
 	}

@@ -15,6 +15,11 @@
 #   perfbench — vet and test the benchmark harness module (its golden
 #            output digests), so a change to an internal API or output
 #            the benchmark depends on fails here, not in a benchmark run
+#   smoke  — one traced perfbench pass per workload (--seconds 1
+#            --trace 1) must report "correct":true: it rebuilds every
+#            run from the layers' public constructors and checks it
+#            field for field against the real one, and fails when
+#            per-layer self times do not cover the traced wall time
 #   race   — race detector on the packages with shared mutable state
 #            (the run scheduler, the simulator fan-out, the cache model
 #            it drives, the fault-injection/back-off layers the chaos
@@ -57,6 +62,19 @@ go test -shuffle=on ./...
 echo '== go -C perfbench vet ./... && go -C perfbench test ./...'
 go -C perfbench vet ./...
 go -C perfbench test ./...
+
+echo '== traced perfbench smoke (every workload, --seconds 1 --trace 1)'
+for w in fig10 die-campaign hier-chaos serve-mix; do
+	out=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+	case "$out" in
+	'{"correct":true,'*) echo "$w: correct" ;;
+	*)
+		echo "perfbench: traced $w run is not correct:" >&2
+		echo "$out" | cut -c1-2000 >&2
+		exit 1
+		;;
+	esac
+done
 
 echo '== go test -race ./internal/engine/... ./internal/sim/... ./internal/cache/... ./internal/inject/... ./internal/dvfs/... ./internal/dist/... ./internal/event/... ./internal/hier/... ./internal/serve/...'
 go test -race ./internal/engine/... ./internal/sim/... ./internal/cache/... ./internal/inject/... ./internal/dvfs/... ./internal/dist/... ./internal/event/... ./internal/hier/... ./internal/serve/...
