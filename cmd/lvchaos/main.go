@@ -20,21 +20,17 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/dvfs"
+	"repro/internal/gridcli"
 	"repro/internal/inject"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -48,50 +44,31 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lvchaos: ")
 	var (
-		bench      = flag.String("bench", "qsort", "comma-separated benchmarks; from "+fmt.Sprint(workload.Names()))
-		die        = flag.Int64("die", 1, "first die seed")
-		dies       = flag.Int("dies", 1, "number of consecutive dies per benchmark")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		iseed      = flag.Int64("iseed", 1, "fault-injection seed")
-		intensity  = flag.Float64("intensity", 1, "injection intensity (0 disables injection)")
-		start      = flag.Int("start", 400, "starting voltage in mV (Table II point)")
-		epochs     = flag.Int("epochs", 20, "controller epochs per campaign")
-		epochN     = flag.Uint64("epoch-n", 100_000, "useful instructions per epoch")
-		up         = flag.Float64("up", 1, "back-off threshold: detected faults per kilo-instruction")
-		down       = flag.Float64("down", 0, "stability threshold (0 = up/2)")
-		stable     = flag.Int("stable", 3, "consecutive stable epochs before stepping back down")
-		workers    = flag.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
-		timeout    = flag.Duration("timeout", 0, "per-campaign timeout (0 = none)")
-		shards     = flag.Int("shards", 0, "worker subprocesses for the campaign grid (0 = in-process)")
-		checkpoint = flag.String("checkpoint", "", "durable checkpoint file for completed campaigns")
-		resume     = flag.Bool("resume", false, "resume completed campaigns from -checkpoint")
-		hierarchy  = flag.Bool("hierarchy", false, "event-driven multicore mode: -cores cores share a banked L2")
-		ncores     = flag.Int("cores", 2, "cores in -hierarchy mode (benchmarks round-robin across them)")
-		l2mv       = flag.Int("l2mv", 0, "uncore (shared L2) voltage in mV, -hierarchy mode (0 = nominal)")
+		bench     = flag.String("bench", "qsort", "comma-separated benchmarks; from "+fmt.Sprint(workload.Names()))
+		die       = flag.Int64("die", 1, "first die seed")
+		dies      = flag.Int("dies", 1, "number of consecutive dies per benchmark")
+		seed      = flag.Int64("seed", 1, "workload seed")
+		iseed     = flag.Int64("iseed", 1, "fault-injection seed")
+		intensity = flag.Float64("intensity", 1, "injection intensity (0 disables injection)")
+		start     = flag.Int("start", 400, "starting voltage in mV (Table II point)")
+		epochs    = flag.Int("epochs", 20, "controller epochs per campaign")
+		epochN    = flag.Uint64("epoch-n", 100_000, "useful instructions per epoch")
+		up        = flag.Float64("up", 1, "back-off threshold: detected faults per kilo-instruction")
+		down      = flag.Float64("down", 0, "stability threshold (0 = up/2)")
+		stable    = flag.Int("stable", 3, "consecutive stable epochs before stepping back down")
+		hierarchy = flag.Bool("hierarchy", false, "event-driven multicore mode: -cores cores share a banked L2")
+		ncores    = flag.Int("cores", 2, "cores in -hierarchy mode (benchmarks round-robin across them)")
+		l2mv      = flag.Int("l2mv", 0, "uncore (shared L2) voltage in mV, -hierarchy mode (0 = nominal)")
+		grid      = gridcli.Bind("campaigns", "per-campaign")
 	)
 	flag.Parse()
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-
-	ctxOpts := dist.Options{
-		Shards: *shards, Checkpoint: *checkpoint, Resume: *resume, LocalWorkers: *workers,
-	}
-	var err error
-	if ctxOpts.Setup, err = json.Marshal(sim.DistSetup{Workers: *workers, TimeoutNS: int64(*timeout)}); err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *hierarchy {
-		runHierGrid(ctx, hierGrid{
+		runHierGrid(grid, hierGrid{
 			benchmarks: strings.Split(*bench, ","), cores: *ncores, l2mv: *l2mv,
 			die: *die, dies: *dies, seed: *seed, iseed: *iseed, intensity: *intensity,
 			start: *start, epochs: *epochs, epochN: *epochN,
 			backoff: dvfs.BackoffConfig{UpThreshold: *up, DownThreshold: *down, StableEpochs: *stable},
-			opts:    ctxOpts,
 		})
 		return
 	}
@@ -109,44 +86,25 @@ func main() {
 			})
 		}
 	}
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			log.Fatalf("campaign %d: %v", i, err)
-		}
-	}
+	// On SIGINT the campaigns that already finished are flushed instead
+	// of discarded, and -checkpoint makes them durable across a SIGKILL
+	// for a later -resume.
+	results, done, err := gridcli.Run(grid, sim.ChaosJob, specs)
+	reportAll(results, done, report)
+	grid.Done(err, done)
+}
 
-	// dist.Run has MapPartial semantics: on SIGINT the campaigns that
-	// already finished are flushed instead of discarded, and -checkpoint
-	// makes them durable across a SIGKILL for a later -resume.
-	payloads := make([]json.RawMessage, len(specs))
-	for i, s := range specs {
-		if payloads[i], err = json.Marshal(s); err != nil {
-			log.Fatal(err)
+// reportAll prints every completed campaign, blank-line separated.
+func reportAll[R any](results []R, done []bool, report func(R)) {
+	printed := false
+	for i, res := range results {
+		if done[i] {
+			if printed {
+				fmt.Println()
+			}
+			report(res)
+			printed = true
 		}
-	}
-	results, done, err := dist.Run(ctx, sim.KindChaos, payloads, ctxOpts)
-
-	completed := 0
-	for i := range results {
-		if !done[i] {
-			continue
-		}
-		var res sim.ChaosResult
-		if derr := json.Unmarshal(results[i], &res); derr != nil {
-			log.Fatalf("campaign %d result: %v", i, derr)
-		}
-		if completed > 0 {
-			fmt.Println()
-		}
-		report(&res)
-		completed++
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Printf("interrupted after %d/%d campaigns", completed, len(specs))
-			os.Exit(1)
-		}
-		log.Fatal(err)
 	}
 }
 
@@ -191,14 +149,13 @@ type hierGrid struct {
 	epochs     int
 	epochN     uint64
 	backoff    dvfs.BackoffConfig
-	opts       dist.Options
 }
 
 // runHierGrid runs -dies multicore campaigns: each campaign puts
 // -cores FFW+BBR cores (benchmarks round-robin) on private voltage
 // domains, all contending for one shared L2, each steered by its own
 // back-off controller against its own die's fault maps.
-func runHierGrid(ctx context.Context, g hierGrid) {
+func runHierGrid(grid *gridcli.Flags, g hierGrid) {
 	specs := make([]sim.HierChaosSpec, 0, g.dies)
 	for d := int64(0); d < int64(g.dies); d++ {
 		hs := sim.HierChaosSpec{
@@ -216,42 +173,9 @@ func runHierGrid(ctx context.Context, g hierGrid) {
 		}
 		specs = append(specs, hs)
 	}
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			log.Fatalf("campaign %d: %v", i, err)
-		}
-	}
-	payloads := make([]json.RawMessage, len(specs))
-	for i, s := range specs {
-		var err error
-		if payloads[i], err = json.Marshal(s); err != nil {
-			log.Fatal(err)
-		}
-	}
-	results, done, err := dist.Run(ctx, sim.KindHierChaos, payloads, g.opts)
-
-	completed := 0
-	for i := range results {
-		if !done[i] {
-			continue
-		}
-		var res sim.HierChaosResult
-		if derr := json.Unmarshal(results[i], &res); derr != nil {
-			log.Fatalf("campaign %d result: %v", i, derr)
-		}
-		if completed > 0 {
-			fmt.Println()
-		}
-		reportHier(&res)
-		completed++
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Printf("interrupted after %d/%d campaigns", completed, len(specs))
-			os.Exit(1)
-		}
-		log.Fatal(err)
-	}
+	results, done, err := gridcli.Run(grid, sim.HierChaosJob, specs)
+	reportAll(results, done, reportHier)
+	grid.Done(err, done)
 }
 
 // reportHier prints one multicore campaign: the per-epoch per-core

@@ -11,19 +11,15 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"text/tabwriter"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
+	"repro/internal/gridcli"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -36,33 +32,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lvdie: ")
 	var (
-		bench      = flag.String("bench", "basicmath", "benchmark; one of "+fmt.Sprint(workload.Names()))
-		scheme     = flag.String("scheme", string(sim.FFWBBR), "scheme to sweep")
-		die        = flag.Int64("die", 1, "die seed (identifies one chip's defects)")
-		dies       = flag.Int("dies", 1, "sweep this many dies and summarize the optimal points")
-		n          = flag.Uint64("n", 200_000, "useful instructions per run")
-		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		timeout    = flag.Duration("timeout", 0, "per-run timeout (0 = none)")
-		shards     = flag.Int("shards", 0, "worker subprocesses for the die grid (0 = in-process)")
-		checkpoint = flag.String("checkpoint", "", "durable checkpoint file for completed dies")
-		resume     = flag.Bool("resume", false, "resume completed dies from -checkpoint")
+		bench  = flag.String("bench", "basicmath", "benchmark; one of "+fmt.Sprint(workload.Names()))
+		scheme = flag.String("scheme", string(sim.FFWBBR), "scheme to sweep")
+		die    = flag.Int64("die", 1, "die seed (identifies one chip's defects)")
+		dies   = flag.Int("dies", 1, "sweep this many dies and summarize the optimal points")
+		n      = flag.Uint64("n", 200_000, "useful instructions per run")
+		grid   = gridcli.Bind("dies", "per-run")
 	)
 	flag.Parse()
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// One grid cell per die. Single-die mode keeps its historical seeds
 	// (die seed doubles as work seed); multi-die mode sweeps dies 0..N-1
 	// at work seed 1, exactly as the sequential loop always has. Each
 	// die's sweep is internally parallel across its operating points, and
 	// the conventional baseline is one memoized RunSpec per process.
-	if err := sim.CheckScheme(sim.Scheme(*scheme), true); err != nil {
-		log.Fatal(err)
-	}
 	single := *dies <= 1
 	var specs []sim.DieSpec
 	if single {
@@ -74,44 +57,12 @@ func main() {
 				DieSeed: d, WorkSeed: 1, Instructions: *n, CPU: cpu.DefaultConfig()})
 		}
 	}
-	setupJSON, err := json.Marshal(sim.DistSetup{Workers: *workers, TimeoutNS: int64(*timeout)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	payloads := make([]json.RawMessage, len(specs))
-	for i, s := range specs {
-		if payloads[i], err = json.Marshal(s); err != nil {
-			log.Fatal(err)
-		}
-	}
-	results, done, err := dist.Run(ctx, sim.KindDie, payloads, dist.Options{
-		Shards: *shards, Checkpoint: *checkpoint, Resume: *resume,
-		Setup: setupJSON, LocalWorkers: *workers,
-	})
-	interrupted := err != nil && errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		log.Fatal(err)
-	}
-
-	sweeps := make([]*sim.DieSweep, len(results))
-	completed := 0
-	for i := range results {
-		if !done[i] {
-			continue
-		}
-		sweeps[i] = new(sim.DieSweep)
-		if derr := json.Unmarshal(results[i], sweeps[i]); derr != nil {
-			log.Fatalf("die %d result: %v", i, derr)
-		}
-		completed++
-	}
-
+	sweeps, done, err := gridcli.Run(grid, sim.DieJob, specs)
 	if single {
-		if interrupted || sweeps[0] == nil {
-			log.Print("interrupted before the sweep completed")
-			os.Exit(1)
+		if done[0] {
+			printSweep(sweeps[0])
 		}
-		printSweep(sweeps[0])
+		grid.Done(err, done)
 		return
 	}
 
@@ -120,10 +71,12 @@ func main() {
 	// instead of discarding them.
 	picks := map[int]int{}
 	var savings float64
+	completed := 0
 	for _, sweep := range sweeps {
 		if sweep == nil {
 			continue
 		}
+		completed++
 		if best, ok := sweep.OptimalPoint(); ok {
 			picks[best.Op.VoltageMV]++
 			savings += 1 - best.NormEPI
@@ -147,10 +100,7 @@ func main() {
 	if completed > 0 {
 		fmt.Printf("mean EPI reduction across %d dies: %.0f%%\n", completed, 100*savings/float64(completed))
 	}
-	if interrupted {
-		log.Printf("interrupted after %d/%d dies", completed, *dies)
-		os.Exit(1)
-	}
+	grid.Done(err, done)
 }
 
 // printSweep renders one die's DVFS ladder and its optimal point.

@@ -34,10 +34,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dvfs"
 	"repro/internal/engine"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Cache kinds. The spec kinds reuse internal/dist's job-kind names so
@@ -178,12 +176,10 @@ type Server struct {
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
-	// The run seams default to the sim engine and are substituted by
-	// tests to model slow, failing or instrumented computations.
-	runRow   func(context.Context, sim.RowSpec) (sim.RowResult, error)
-	runChaos func(context.Context, sim.ChaosSpec) (*sim.ChaosResult, error)
-	runHier  func(context.Context, sim.HierSpec) (*sim.HierResult, error)
-	runDie   func(context.Context, sim.DieSpec) (*sim.DieSweep, error)
+	// runRow computes one eval cell for /v1/eval and /v1/sweep. It
+	// defaults to the sim engine; tests substitute it to model slow,
+	// failing or instrumented computations.
+	runRow func(context.Context, sim.RowSpec) (sim.RowResult, error)
 }
 
 // New builds a server from cfg.
@@ -214,21 +210,16 @@ func New(cfg Config) *Server {
 		KeepErr: func(error) bool { return false },
 	})
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	s.runRow = s.eng.EvalRow
-	s.runChaos = s.eng.RunChaos
-	s.runHier = func(ctx context.Context, spec sim.HierSpec) (*sim.HierResult, error) {
-		return sim.RunHierarchy(ctx, spec)
-	}
-	s.runDie = func(ctx context.Context, spec sim.DieSpec) (*sim.DieSweep, error) {
-		return s.eng.SweepDie(ctx, spec.Scheme, spec.Benchmark, spec.DieSeed, spec.WorkSeed, spec.Instructions, spec.CPU)
-	}
+	s.runRow = sim.RowJob.On(s.eng)
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/eval", s.handleEval)
+	s.mux.HandleFunc("/v1/eval", unary(s, kindEval, func(ctx context.Context, spec sim.RowSpec) (sim.RowResult, error) {
+		return s.runRow(ctx, spec) // read per request: tests substitute the seam after New
+	}))
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/chaos", s.handleChaos)
-	s.mux.HandleFunc("/v1/hier", s.handleHier)
-	s.mux.HandleFunc("/v1/die", s.handleDie)
+	s.mux.HandleFunc("/v1/chaos", unary(s, kindChaos, sim.ChaosJob.On(s.eng)))
+	s.mux.HandleFunc("/v1/hier", unary(s, kindHier, sim.HierJob.On(s.eng)))
+	s.mux.HandleFunc("/v1/die", unary(s, kindDie, sim.DieJob.On(s.eng)))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
@@ -497,136 +488,32 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	ctx, end, ok := s.begin(w, r)
-	if !ok {
-		return
-	}
-	defer end()
-	spec := new(sim.RowSpec)
-	hash, ok := s.readSpec(w, r, kindEval, spec)
-	if !ok {
-		return
-	}
-	if err := validateRow(*spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error(), false)
-		return
-	}
-	s.respondJSON(ctx, w, kindEval, hash, func(ctx context.Context) ([]byte, error) {
-		res, err := s.runRow(ctx, *spec)
-		if err != nil {
-			return nil, err
+// unary serves one job kind: the request body is a spec of the kind,
+// the response its cached, coalesced JSON result.
+func unary[S sim.Spec, R any](s *Server, kind string, run func(context.Context, S) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, end, ok := s.begin(w, r)
+		if !ok {
+			return
 		}
-		return marshalBody(res)
-	})
-}
-
-func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
-	ctx, end, ok := s.begin(w, r)
-	if !ok {
-		return
-	}
-	defer end()
-	spec := new(sim.ChaosSpec)
-	hash, ok := s.readSpec(w, r, kindChaos, spec)
-	if !ok {
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error(), false)
-		return
-	}
-	s.respondJSON(ctx, w, kindChaos, hash, func(ctx context.Context) ([]byte, error) {
-		res, err := s.runChaos(ctx, *spec)
-		if err != nil {
-			return nil, err
+		defer end()
+		spec := new(S)
+		hash, ok := s.readSpec(w, r, kind, spec)
+		if !ok {
+			return
 		}
-		return marshalBody(res)
-	})
-}
-
-func (s *Server) handleHier(w http.ResponseWriter, r *http.Request) {
-	ctx, end, ok := s.begin(w, r)
-	if !ok {
-		return
-	}
-	defer end()
-	spec := new(sim.HierSpec)
-	hash, ok := s.readSpec(w, r, kindHier, spec)
-	if !ok {
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error(), false)
-		return
-	}
-	s.respondJSON(ctx, w, kindHier, hash, func(ctx context.Context) ([]byte, error) {
-		res, err := s.runHier(ctx, *spec)
-		if err != nil {
-			return nil, err
+		if err := (*spec).Validate(); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error(), false)
+			return
 		}
-		return marshalBody(res)
-	})
-}
-
-func (s *Server) handleDie(w http.ResponseWriter, r *http.Request) {
-	ctx, end, ok := s.begin(w, r)
-	if !ok {
-		return
+		s.respondJSON(ctx, w, kind, hash, func(ctx context.Context) ([]byte, error) {
+			res, err := run(ctx, *spec)
+			if err != nil {
+				return nil, err
+			}
+			return marshalBody(res)
+		})
 	}
-	defer end()
-	spec := new(sim.DieSpec)
-	hash, ok := s.readSpec(w, r, kindDie, spec)
-	if !ok {
-		return
-	}
-	if err := validateDie(*spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_spec", err.Error(), false)
-		return
-	}
-	s.respondJSON(ctx, w, kindDie, hash, func(ctx context.Context) ([]byte, error) {
-		res, err := s.runDie(ctx, *spec)
-		if err != nil {
-			return nil, err
-		}
-		return marshalBody(res)
-	})
-}
-
-// validateRow rejects a malformed eval cell before it costs a queue
-// slot: unknown scheme or benchmark, bad operating point, empty work.
-func validateRow(spec sim.RowSpec) error {
-	if err := sim.CheckScheme(spec.Scheme, false); err != nil {
-		return err
-	}
-	if _, err := workload.ByName(spec.Benchmark); err != nil {
-		return err
-	}
-	if _, err := dvfs.PointAt(spec.MV); err != nil {
-		return err
-	}
-	if spec.Instructions == 0 {
-		return errors.New("serve: zero instructions")
-	}
-	if spec.Maps <= 0 {
-		return fmt.Errorf("serve: need at least one fault map, got %d", spec.Maps)
-	}
-	return nil
-}
-
-// validateDie rejects a malformed die sweep request, including a
-// scheme die sweeps do not support.
-func validateDie(spec sim.DieSpec) error {
-	if err := sim.CheckScheme(spec.Scheme, true); err != nil {
-		return err
-	}
-	if _, err := workload.ByName(spec.Benchmark); err != nil {
-		return err
-	}
-	if spec.Instructions == 0 {
-		return errors.New("serve: zero instructions")
-	}
-	return nil
 }
 
 // Stats is the /v1/stats document. Field order is the wire order.

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/sim"
 )
 
@@ -427,4 +428,40 @@ func TestSweepExplicitCellsStream(t *testing.T) {
 		t.Fatalf("status %d: %s", status, data)
 	}
 	assertCleanStream(t, data, 3, true)
+}
+
+// TestHierYieldFailIsCachedDatum: a die set no core scheme can cover is
+// a Monte Carlo datum on every surface. /v1/hier answers 200 with the
+// body a dist worker produces, and a repeat is a cache hit.
+func TestHierYieldFailIsCachedDatum(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		s.Close()
+		ts.Close()
+	})
+	spec := sim.HierSpec{
+		Scheme: sim.Conventional, Instructions: 10_000, CPU: cpu.DefaultConfig(),
+		Cores: []sim.HierCoreSpec{{Benchmark: "qsort", MV: 400, MapSeed: 1, WorkSeed: 1}},
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&sim.HierResult{YieldFail: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		status, got, _ := post(t, ts.URL, "/v1/hier", string(body), nil)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status, got)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("request %d: body %s, want %s", i, got, want)
+		}
+	}
+	if got := s.Stats().Computes[kindHier]; got != 1 {
+		t.Fatalf("hier computes = %d, want 1 (the repeat must hit the cache)", got)
+	}
 }

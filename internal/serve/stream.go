@@ -132,7 +132,7 @@ func validateCells(cells []sim.RowSpec) error {
 		return fmt.Errorf("serve: empty sweep")
 	}
 	for i, c := range cells {
-		if err := validateRow(c); err != nil {
+		if err := c.Validate(); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}
 	}
