@@ -23,8 +23,9 @@ import (
 // steering the operating point epoch by epoch. All randomness derives
 // from the seeds, so a campaign is byte-identical at any worker count.
 type ChaosSpec struct {
-	// Scheme must be FFW+BBR (the only scheme carrying detection and
-	// recovery machinery); empty selects it.
+	// Scheme must support runtime fault injection (FFW+BBR, the only
+	// scheme carrying detection and recovery machinery); empty selects
+	// FFW+BBR.
 	Scheme Scheme
 	// Benchmark names the workload profile.
 	Benchmark string
@@ -51,9 +52,12 @@ type ChaosSpec struct {
 
 // Validate checks the specification.
 func (s ChaosSpec) Validate() error {
+	if s.Scheme != "" {
+		if err := checkInject(s.Scheme); err != nil {
+			return err
+		}
+	}
 	switch {
-	case s.Scheme != "" && s.Scheme != FFWBBR:
-		return fmt.Errorf("sim: chaos campaigns require scheme %q (got %q)", FFWBBR, s.Scheme)
 	case s.Epochs <= 0:
 		return fmt.Errorf("sim: chaos campaign needs positive epochs, got %d", s.Epochs)
 	case s.EpochInstructions == 0:
@@ -171,28 +175,23 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	factor := L1StaticFactor(FFWBBR)
 
 	// build constructs the rig for the controller's current operating
-	// point, forcing the voltage up on yield failures. seg numbers the
-	// voltage segments so each gets independent injector streams.
+	// point. seg numbers the voltage segments so each gets independent
+	// injector streams.
 	seg := 0
-	build := func() (*chaosRig, error) {
-		for {
-			op := backoff.Current()
+	var rig *chaosRig
+	build := func() error {
+		return buildForcingUp(backoff, fmt.Sprintf("die %d", spec.DieSeed), func(op dvfs.OperatingPoint) error {
 			next := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
 			ic, dc, stream, berr := buildChaosRig(spec.Inject, spec.WorkSeed, 0, prof, prog, op, seriesI, seriesD, seg, next)
-			if berr == nil {
-				seg++
-				return &chaosRig{ic: ic, dc: dc, next: next, stream: stream}, nil
+			if berr != nil {
+				return berr
 			}
-			if !errors.Is(berr, ErrYield) {
-				return nil, berr
-			}
-			if !backoff.ForceUp() {
-				return nil, fmt.Errorf("die %d uncoverable even at %d mV: %w", spec.DieSeed, op.VoltageMV, berr)
-			}
-		}
+			seg++
+			rig = &chaosRig{ic: ic, dc: dc, next: next, stream: stream}
+			return nil
+		})
 	}
-	rig, err := build()
-	if err != nil {
+	if err := build(); err != nil {
 		return nil, err
 	}
 
@@ -227,8 +226,7 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 			// Voltage transition: rebuild against the new point's nested
 			// map, relink, fresh injectors. Detection counters restart
 			// with the new rig.
-			rig, err = build()
-			if err != nil {
+			if err := build(); err != nil {
 				return nil, err
 			}
 			prev = inject.Stats{}
@@ -241,6 +239,23 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	res.StepUps, res.StepDowns = backoff.StepUps(), backoff.StepDowns()
 	res.Residency = residency(res.Epochs)
 	return res, nil
+}
+
+// buildForcingUp calls build at the controller's current operating
+// point until the rig builds, forcing the controller up a step after
+// each yield failure. A die uncoverable even at the top rung is an
+// error naming it as what.
+func buildForcingUp(backoff *dvfs.Backoff, what string, build func(op dvfs.OperatingPoint) error) error {
+	for {
+		op := backoff.Current()
+		err := build(op)
+		if !errors.Is(err, ErrYield) {
+			return err
+		}
+		if !backoff.ForceUp() {
+			return fmt.Errorf("%s uncoverable even at %d mV: %w", what, op.VoltageMV, err)
+		}
+	}
 }
 
 // buildChaosRig assembles the caches, link and stream for one voltage

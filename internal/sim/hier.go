@@ -317,14 +317,12 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 		return nil, err
 	}
 
-	// rebuild equips core i for its controller's current point, forcing
-	// the voltage up on yield failures (uncoverable at the top rung
-	// aborts the campaign — a dead die).
+	// rebuild equips core i for its controller's current point
+	// (uncoverable at the top rung aborts the campaign — a dead die).
 	states := make([]*hierChaosCore, len(spec.Cores))
 	rebuild := func(i int) error {
 		st, cs := states[i], spec.Cores[i]
-		for {
-			op := st.backoff.Current()
+		return buildForcingUp(st.backoff, fmt.Sprintf("core %d die %d", i, cs.DieSeed), func(op dvfs.OperatingPoint) error {
 			err := h.SetRig(i, op, spec.CPU, func(next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
 				ic, dc, stream, berr := buildChaosRig(spec.Inject, cs.WorkSeed, st.salt, st.prof, st.prog, op, st.seriesI, st.seriesD, st.seg, next)
 				if berr != nil {
@@ -336,15 +334,9 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 			if err == nil {
 				st.seg++
 				st.prev = inject.Stats{}
-				return nil
 			}
-			if !errors.Is(err, ErrYield) {
-				return err
-			}
-			if !st.backoff.ForceUp() {
-				return fmt.Errorf("core %d die %d uncoverable even at %d mV: %w", i, cs.DieSeed, op.VoltageMV, err)
-			}
-		}
+			return err
+		})
 	}
 	for i, cs := range spec.Cores {
 		prof, perr := workload.ByName(cs.Benchmark)

@@ -141,8 +141,10 @@ func buildRigWithMaps(spec RunSpec, fmI, fmD *faultmap.Map, next *core.NextLevel
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if spec.Inject.Enabled() && spec.Scheme != FFWBBR {
-		return nil, nil, nil, fmt.Errorf("sim: runtime fault injection requires scheme %q (got %q)", FFWBBR, spec.Scheme)
+	if spec.Inject.Enabled() {
+		if err := checkInject(spec.Scheme); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 
 	var prog *program.Program

@@ -56,6 +56,9 @@ type schemeRow struct {
 	bbr bool
 	// dieSweep marks schemes die sweeps support.
 	dieSweep bool
+	// inject marks schemes with the detection and recovery machinery
+	// runtime fault injection needs.
+	inject bool
 	// iDesign and dDesign are the cacti organizations of the two L1s;
 	// the energy model charges their mean leakage.
 	iDesign, dDesign cacti.Design
@@ -77,7 +80,7 @@ var schemeTable = []schemeRow{
 	{name: FBAPlus, eval: true, dieSweep: true, iDesign: cacti.FBA(64), dDesign: cacti.FBA(64), build: entries(schemes.NewFBA, 1024)},
 	{name: IDC64, dieSweep: true, iDesign: cacti.IDC(64), dDesign: cacti.IDC(64), build: entries(schemes.NewIDC, 64)},
 	{name: IDCPlus, eval: true, dieSweep: true, iDesign: cacti.IDC(64), dDesign: cacti.IDC(64), build: entries(schemes.NewIDC, 1024)},
-	{name: FFWBBR, eval: true, bbr: true, dieSweep: true, iDesign: cacti.BBRInstr(), dDesign: cacti.FFWData(), build: ffwBBR},
+	{name: FFWBBR, eval: true, bbr: true, dieSweep: true, inject: true, iDesign: cacti.BBRInstr(), dDesign: cacti.FFWData(), build: ffwBBR},
 	// SECDED sees second-order (>=2-bit) failures, which need a different
 	// nested threshold than the per-word minimum a faultmap.Series
 	// tracks, so die sweeps do not support it.
@@ -125,6 +128,16 @@ func CheckScheme(s Scheme, dieSweep bool) error {
 	row, err := rowFor(s)
 	if err == nil && dieSweep && !row.dieSweep {
 		err = fmt.Errorf("sim: %s is not supported in die sweeps", s)
+	}
+	return err
+}
+
+// checkInject rejects runtime fault injection on a scheme without
+// detection and recovery machinery.
+func checkInject(s Scheme) error {
+	row, err := rowFor(s)
+	if err == nil && !row.inject {
+		err = fmt.Errorf("sim: scheme %q does not support runtime fault injection", s)
 	}
 	return err
 }
