@@ -112,7 +112,7 @@ func (e *WorkerError) Error() string {
 var ErrStaleCheckpoint = errors.New("dist: checkpoint is stale")
 
 // Run executes the job grid and returns the per-index results with
-// MapPartial semantics: done[i] marks the rows that completed, and on
+// engine.MapPartialNotify's semantics: done[i] marks the rows that completed, and on
 // cancellation or job failure the completed rows are still returned
 // (and checkpointed) alongside the error. Results merge by index, so
 // for deterministic runners the returned rows are byte-identical at

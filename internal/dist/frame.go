@@ -24,7 +24,7 @@
 //     warning rather than failing it;
 //   - draining: cancellation (SIGINT in the commands) stops dispatch,
 //     lets in-flight rows finish, flushes a final checkpoint and
-//     returns the completed rows MapPartial-style.
+//     returns the completed rows as engine.MapPartialNotify does.
 package dist
 
 import (

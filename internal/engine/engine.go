@@ -64,7 +64,7 @@ func (e *PanicError) Error() string {
 }
 
 // TimeoutError reports a job that exceeded the per-job deadline of a
-// MapTimeout or MapPartial call. It unwraps to
+// MapTimeout or MapPartialNotify call. It unwraps to
 // context.DeadlineExceeded, so errors.Is(err, context.DeadlineExceeded)
 // matches. Index is the job's index, or -1 when the timeout was applied
 // outside a Map grid.
@@ -116,7 +116,7 @@ func MapTimeout[T any](ctx context.Context, p *Pool, n int, timeout time.Duratio
 	return results, nil
 }
 
-// MapPartial is MapTimeout for interruptible sweeps: instead of
+// MapPartialNotify is MapTimeout for interruptible sweeps: instead of
 // discarding everything on failure or cancellation, it always returns
 // the per-index results alongside done flags marking the jobs that
 // completed. On a clean run err is nil and every flag is true. When the
@@ -126,16 +126,13 @@ func MapTimeout[T any](ctx context.Context, p *Pool, n int, timeout time.Duratio
 // Cancellation echoes from sibling jobs (errors that merely wrap
 // context.Canceled) are dropped from err: the failure that stopped the
 // run is already recorded.
-func MapPartial[T any](ctx context.Context, p *Pool, n int, timeout time.Duration, fn func(ctx context.Context, i int) (T, error)) (results []T, done []bool, err error) {
-	return MapPartialNotify(ctx, p, n, timeout, fn, nil)
-}
-
-// MapPartialNotify is MapPartial with a completion hook for durable
-// progress (checkpoint flushing in internal/dist): notify(i), when
-// non-nil, is called from the job's goroutine strictly after results[i]
-// and done[i] are assigned, and never for a job that failed, timed out
-// or panicked — so a row observed by notify is exactly a row that will
-// read back done. notify runs concurrently from different jobs; the
+//
+// notify is a completion hook for durable progress (checkpoint
+// flushing in internal/dist): notify(i), when non-nil, is called from
+// the job's goroutine strictly after results[i] and done[i] are
+// assigned, and never for a job that failed, timed out or panicked —
+// so a row observed by notify is exactly a row that will read back
+// done. notify runs concurrently from different jobs; the
 // callback synchronizes itself. A panic inside notify is contained like
 // a job panic (the run is cancelled and a *PanicError surfaced), but
 // the row's done flag remains true: the result itself was valid.
@@ -154,8 +151,8 @@ func MapPartialNotify[T any](ctx context.Context, p *Pool, n int, timeout time.D
 	return results, done, err
 }
 
-// runMap is the shared scheduling core of Map, MapTimeout,
-// MapPartial and MapPartialNotify.
+// runMap is the shared scheduling core of Map, MapTimeout and
+// MapPartialNotify.
 func runMap[T any](ctx context.Context, p *Pool, n int, timeout time.Duration, fn func(ctx context.Context, i int) (T, error), notify func(i int)) (results []T, done []bool, errs []error) {
 	results = make([]T, n)
 	done = make([]bool, n)

@@ -15,12 +15,12 @@ import (
 // panicked row.
 func TestMapPartialPanicLeavesDoneFalse(t *testing.T) {
 	p := New(1)
-	results, done, err := MapPartial(context.Background(), p, 5, 0, func(ctx context.Context, i int) (int, error) {
+	results, done, err := MapPartialNotify(context.Background(), p, 5, 0, func(ctx context.Context, i int) (int, error) {
 		if i == 2 {
 			panic("mid-grid")
 		}
 		return i * 10, nil
-	})
+	}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)
@@ -91,7 +91,7 @@ func TestMapPartialNotifyPanicContained(t *testing.T) {
 }
 
 // Interrupted-then-resumed output is byte-identical to an uninterrupted
-// run: complete the rows MapPartial left undone in a second pass and
+// run: complete the rows MapPartialNotify left undone in a second pass and
 // merge by index — the contract internal/dist's checkpoint resume is
 // built on.
 func TestMapPartialInterruptedThenResumedByteIdentical(t *testing.T) {

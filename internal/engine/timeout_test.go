@@ -67,8 +67,8 @@ func TestMapTimeoutCallerCancelIsNotATimeout(t *testing.T) {
 }
 
 func TestMapPartialCleanRun(t *testing.T) {
-	got, done, err := MapPartial(context.Background(), New(2), 5, 0,
-		func(_ context.Context, i int) (int, error) { return i * 2, nil })
+	got, done, err := MapPartialNotify(context.Background(), New(2), 5, 0,
+		func(_ context.Context, i int) (int, error) { return i * 2, nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMapPartialCleanRun(t *testing.T) {
 func TestMapPartialFlushesCompletedOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 6
-	got, done, err := MapPartial(ctx, New(1), n, 0,
+	got, done, err := MapPartialNotify(ctx, New(1), n, 0,
 		func(jobCtx context.Context, i int) (int, error) {
 			if i == 2 {
 				cancel() // "SIGINT" arrives while job 2 runs
@@ -92,7 +92,7 @@ func TestMapPartialFlushesCompletedOnCancel(t *testing.T) {
 				return 0, jobCtx.Err()
 			}
 			return i + 100, nil
-		})
+		}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -110,7 +110,7 @@ func TestMapPartialFlushesCompletedOnCancel(t *testing.T) {
 func TestMapPartialKeepsRealErrorDropsEchoes(t *testing.T) {
 	boom := errors.New("boom")
 	started := make(chan struct{})
-	_, done, err := MapPartial(context.Background(), New(2), 2, 0,
+	_, done, err := MapPartialNotify(context.Background(), New(2), 2, 0,
 		func(jobCtx context.Context, i int) (int, error) {
 			if i == 1 {
 				close(started)
@@ -119,7 +119,7 @@ func TestMapPartialKeepsRealErrorDropsEchoes(t *testing.T) {
 			}
 			<-started
 			return 0, boom
-		})
+		}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the real failure", err)
 	}
@@ -132,14 +132,14 @@ func TestMapPartialKeepsRealErrorDropsEchoes(t *testing.T) {
 }
 
 func TestMapPartialTimeout(t *testing.T) {
-	_, done, err := MapPartial(context.Background(), New(1), 2, 15*time.Millisecond,
+	_, done, err := MapPartialNotify(context.Background(), New(1), 2, 15*time.Millisecond,
 		func(ctx context.Context, i int) (int, error) {
 			if i == 0 {
 				return 7, nil
 			}
 			<-ctx.Done()
 			return 0, ctx.Err()
-		})
+		}, nil)
 	var te *TimeoutError
 	if !errors.As(err, &te) || te.Index != 1 {
 		t.Fatalf("err = %v, want job 1's *TimeoutError", err)
