@@ -61,7 +61,7 @@ func BenchmarkFig2FailureProbability(b *testing.B) {
 func BenchmarkFig3SpatialLocality(b *testing.B) {
 	var spatial, reuse float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Fig3(60_000, 1)
+		res, err := sim.NewEngine(0).Fig3(context.Background(), 60_000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig6EffectiveCapacity(b *testing.B) {
 	op := opAt(b, 400)
 	var capKB, placeable float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Fig6("basicmath", op, 10, 1)
+		res, err := sim.NewEngine(0).Fig6(context.Background(), "basicmath", op, 10, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func evalGrid(b *testing.B) []sim.EvalCell {
 	b.Helper()
 	cfg := sim.QuickConfig()
 	cfg.Instructions = 60_000
-	cells, err := sim.Evaluate(cfg, sim.EvalSchemes(),
+	cells, err := sim.NewEngine(0).Evaluate(context.Background(), cfg, sim.EvalSchemes(),
 		[]string{"basicmath", "qsort"},
 		[]dvfs.OperatingPoint{opAt(b, 560), opAt(b, 400)})
 	if err != nil {
@@ -221,7 +221,7 @@ func BenchmarkFig10GridWorkers(b *testing.B) {
 func BenchmarkAblationWindowPlacement(b *testing.B) {
 	op := opAt(b, 400)
 	run := func(p ffw.WindowPlacement) float64 {
-		r, err := sim.Run(sim.RunSpec{
+		r, err := sim.RunContext(context.Background(), sim.RunSpec{
 			Scheme: sim.FFWBBR, Benchmark: "basicmath", Op: op,
 			MapSeed: 1, WorkSeed: 1, Instructions: 60_000,
 			CPU: cpu.DefaultConfig(), Placement: p,
@@ -269,7 +269,7 @@ func BenchmarkAblationFBAEntries(b *testing.B) {
 				prof, _ := workload.ByName("qsort")
 				prog, _ := workload.BuildProgram(prof, 1, nil)
 				s := workload.NewStream(prof, prog, program.NewSequentialLayout(prog, 0), 1)
-				r, err := cpu.Run(cpu.DefaultConfig(), s, ic, dc, next, 60_000)
+				r, err := cpu.RunContext(context.Background(), cpu.DefaultConfig(), s, ic, dc, next, 60_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -370,7 +370,7 @@ func BenchmarkAblationDMvsSA(b *testing.B) {
 func BenchmarkAblationScatterFFW(b *testing.B) {
 	op := opAt(b, 400)
 	run := func(scatter bool) float64 {
-		r, err := sim.Run(sim.RunSpec{
+		r, err := sim.RunContext(context.Background(), sim.RunSpec{
 			Scheme: sim.FFWBBR, Benchmark: "adpcm", Op: op,
 			MapSeed: 1, WorkSeed: 1, Instructions: 60_000,
 			CPU: cpu.DefaultConfig(), Scatter: scatter,
@@ -464,7 +464,7 @@ func BenchmarkInjectRecovery(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var recovery float64
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(sim.RunSpec{
+				r, err := sim.RunContext(context.Background(), sim.RunSpec{
 					Scheme: sim.FFWBBR, Benchmark: "qsort", Op: op,
 					MapSeed: 1, WorkSeed: 1, Instructions: 60_000,
 					CPU: cpu.DefaultConfig(), Inject: c.params,

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -104,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	stream := workload.NewStream(prof, prog, pl, 7)
-	r, err := cpu.Run(cpu.DefaultConfig(), stream, ic, dc, next, 200_000)
+	r, err := cpu.RunContext(context.Background(), cpu.DefaultConfig(), stream, ic, dc, next, 200_000)
 	if err != nil {
 		log.Fatal(err)
 	}

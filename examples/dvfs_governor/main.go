@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,6 +28,8 @@ func main() {
 	flag.Parse()
 	const instrs = 200_000
 	model := energy.DefaultModel()
+	ctx := context.Background()
+	eng := lvcache.NewEngine(0)
 
 	type pick struct {
 		mv  int
@@ -39,7 +42,7 @@ func main() {
 		}
 		p.epi = 2 // sentinel; every real point will beat it
 		for _, op := range lvcache.LowVoltagePoints() {
-			r, err := lvcache.Run(lvcache.RunSpec{
+			r, err := eng.Run(ctx, lvcache.RunSpec{
 				Scheme: scheme, Benchmark: bench, Op: op,
 				MapSeed: *seed, Instructions: instrs, CPU: cpu.DefaultConfig(),
 			})
@@ -64,7 +67,7 @@ func main() {
 	var meanSave float64
 	benches := lvcache.Benchmarks()
 	for _, bench := range benches {
-		baseline, err := lvcache.Run(lvcache.RunSpec{
+		baseline, err := eng.Run(ctx, lvcache.RunSpec{
 			Scheme: lvcache.Conventional, Benchmark: bench, Op: lvcache.Nominal(),
 			Instructions: instrs, CPU: cpu.DefaultConfig(),
 		})

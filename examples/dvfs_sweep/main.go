@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,8 +24,10 @@ func main() {
 	const bench = "dijkstra"
 	const instrs = 300_000
 
+	ctx := context.Background()
+	eng := lvcache.NewEngine(0)
 	model := energy.DefaultModel()
-	baseline, err := lvcache.Run(lvcache.RunSpec{
+	baseline, err := eng.Run(ctx, lvcache.RunSpec{
 		Scheme: lvcache.Conventional, Benchmark: bench, Op: lvcache.Nominal(),
 		Instructions: instrs, CPU: cpu.DefaultConfig(),
 	})
@@ -41,7 +44,7 @@ func main() {
 	fmt.Fprintln(w, "mV\tfreq(MHz)\tCPI\tcoreDyn\tL2dyn\tstatic\ttotal\tsavings")
 	factor := sim.L1StaticFactor(lvcache.FFWBBR)
 	for _, op := range lvcache.LowVoltagePoints() {
-		run, err := lvcache.Run(lvcache.RunSpec{
+		run, err := eng.Run(ctx, lvcache.RunSpec{
 			Scheme: lvcache.FFWBBR, Benchmark: bench, Op: op,
 			MapSeed: *seed, Instructions: instrs, CPU: cpu.DefaultConfig(),
 		})

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -15,7 +16,6 @@ import (
 	lvcache "repro"
 	"repro/internal/faultmap"
 	"repro/internal/schemes"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 	w.Flush()
 
 	fmt.Println("\nper-scheme yield (fraction of dies each scheme can guarantee correct execution on):")
-	rows, err := sim.YieldAnalysis(dies, *seed)
+	rows, err := lvcache.NewEngine(0).YieldAnalysis(context.Background(), dies, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,7 +23,9 @@ func main() {
 	nominal := lvcache.Nominal()
 	fmt.Printf("conventional Vccmin: %d mV (yield-limited)\n", lvcache.ConventionalVccminMV)
 
-	baseline, err := lvcache.Run(lvcache.RunSpec{
+	ctx := context.Background()
+	eng := lvcache.NewEngine(0)
+	baseline, err := eng.Run(ctx, lvcache.RunSpec{
 		Scheme:       lvcache.Conventional,
 		Benchmark:    "basicmath",
 		Op:           nominal,
@@ -43,7 +46,7 @@ func main() {
 			p400 = op
 		}
 	}
-	run, err := lvcache.Run(lvcache.RunSpec{
+	run, err := eng.Run(ctx, lvcache.RunSpec{
 		Scheme:       lvcache.FFWBBR,
 		Benchmark:    "basicmath",
 		Op:           p400,

@@ -114,19 +114,14 @@ func (r Result) L2PerKiloInstr() float64 {
 	return 1000 * float64(r.L2Reads) / float64(r.Instructions)
 }
 
-// Run executes the stream until n useful instructions have retired (for
-// BBR-transformed programs, inserted jumps execute on top of those).
-// Both caches must share the NextLevel so L2 contents interleave
-// realistically; next is read for traffic deltas only.
-func Run(cfg Config, s *workload.Stream, ic core.InstrCache, dc core.DataCache, next *core.NextLevel, n uint64) (Result, error) {
-	return RunContext(context.Background(), cfg, s, ic, dc, next, n)
-}
-
-// RunContext is Run with cooperative cancellation: the context is
-// polled every few thousand instructions, and a cancelled or expired
-// context aborts the run with the context's error (and the partial
-// Result accumulated so far). Used by campaign drivers to enforce
-// per-job timeouts.
+// RunContext executes the stream until n useful instructions have
+// retired (for BBR-transformed programs, inserted jumps execute on top
+// of those). Both caches must share the NextLevel so L2 contents
+// interleave realistically; next is read for traffic deltas only. The
+// context is polled every few thousand instructions, and a cancelled or
+// expired context aborts the run with the context's error (and the
+// partial Result accumulated so far). Used by campaign drivers to
+// enforce per-job timeouts.
 func RunContext(ctx context.Context, cfg Config, s *workload.Stream, ic core.InstrCache, dc core.DataCache, next *core.NextLevel, n uint64) (Result, error) {
 	return RunClocked(ctx, cfg, s, ic, dc, next, n, nil)
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,10 +34,10 @@ func TestRunValidation(t *testing.T) {
 	n := core.NewNextLevel(100)
 	ic, dc := defectFreePair(n)
 	s := testStream(t, "adpcm", 1)
-	if _, err := Run(Config{Width: 0}, s, ic, dc, n, 10); err == nil {
+	if _, err := RunContext(context.Background(), Config{Width: 0}, s, ic, dc, n, 10); err == nil {
 		t.Error("zero width must error")
 	}
-	if _, err := Run(DefaultConfig(), s, ic, dc, n, 0); err == nil {
+	if _, err := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 0); err == nil {
 		t.Error("zero instructions must error")
 	}
 }
@@ -45,7 +46,7 @@ func TestRunCounts(t *testing.T) {
 	n := core.NewNextLevel(100)
 	ic, dc := defectFreePair(n)
 	s := testStream(t, "basicmath", 2)
-	r, err := Run(DefaultConfig(), s, ic, dc, n, 50000)
+	r, err := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestBaselineCPIPlausible(t *testing.T) {
 	n := core.NewNextLevel(97) // 760 mV memory latency
 	ic, dc := defectFreePair(n)
 	s := testStream(t, "basicmath", 3)
-	r, _ := Run(DefaultConfig(), s, ic, dc, n, 300000)
+	r, _ := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 300000)
 	if cpi := r.CPI(); cpi < 0.6 || cpi > 1.8 {
 		t.Errorf("baseline CPI = %.3f, want in [0.6, 1.8]", cpi)
 	}
@@ -88,7 +89,7 @@ func TestExtraL1LatencyCostsSubstantially(t *testing.T) {
 			ic, dc = defectFreePair(n)
 		}
 		s := testStream(t, "basicmath", 4)
-		r, _ := Run(DefaultConfig(), s, ic, dc, n, 300000)
+		r, _ := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 300000)
 		return r
 	}
 	base := run(false)
@@ -125,7 +126,7 @@ func TestDefectsIncreaseMemoryComponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := testStream(t, "basicmath", 7)
-		r, _ := Run(DefaultConfig(), s, ic, dc, n, 200000)
+		r, _ := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 200000)
 		return r
 	}
 	clean := mk(0)
@@ -161,7 +162,7 @@ func TestDeterminism(t *testing.T) {
 		n := core.NewNextLevel(100)
 		ic, dc := defectFreePair(n)
 		s := testStream(t, "crc32", 11)
-		r, _ := Run(DefaultConfig(), s, ic, dc, n, 50000)
+		r, _ := RunContext(context.Background(), DefaultConfig(), s, ic, dc, n, 50000)
 		return r
 	}
 	a, b := run(), run()
@@ -206,7 +207,7 @@ func TestHandComputedCycleAccounting(t *testing.T) {
 	ic, dc := defectFreePair(next)
 	s := workload.NewStream(prof, prog, program.NewSequentialLayout(prog, 0), 1)
 	const n = 4000 // 1000 block iterations
-	r, err := Run(DefaultConfig(), s, ic, dc, next, n)
+	r, err := RunContext(context.Background(), DefaultConfig(), s, ic, dc, next, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestLoadUseChargedExactly(t *testing.T) {
 	ic, dc := defectFreePair(next)
 	s := workload.NewStream(prof, prog, program.NewSequentialLayout(prog, 0), 2)
 	const n = 1000
-	r, err := Run(DefaultConfig(), s, ic, dc, next, n)
+	r, err := RunContext(context.Background(), DefaultConfig(), s, ic, dc, next, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,19 +64,15 @@ func (e *PanicError) Error() string {
 }
 
 // TimeoutError reports a job that exceeded the per-job deadline of a
-// MapTimeout or MapPartialNotify call. It unwraps to
+// MapPartialNotify call. It unwraps to
 // context.DeadlineExceeded, so errors.Is(err, context.DeadlineExceeded)
-// matches. Index is the job's index, or -1 when the timeout was applied
-// outside a Map grid.
+// matches. Index is the job's index.
 type TimeoutError struct {
 	Index   int
 	Timeout time.Duration
 }
 
 func (e *TimeoutError) Error() string {
-	if e.Index < 0 {
-		return fmt.Sprintf("engine: job exceeded its %v timeout", e.Timeout)
-	}
 	return fmt.Sprintf("engine: job %d exceeded its %v timeout", e.Index, e.Timeout)
 }
 
@@ -94,19 +90,10 @@ func (e *TimeoutError) Unwrap() error { return context.DeadlineExceeded }
 // index (never on scheduling, shared mutable state, or completion
 // order), Map's result slice is identical at any worker count.
 func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapTimeout(ctx, p, n, 0, fn)
-}
-
-// MapTimeout is Map with a per-job deadline: each job's context expires
-// timeout after the job starts (timeout <= 0 means none). A job that
-// dies of its own deadline fails with a *TimeoutError carrying its
-// index, so one stuck run aborts the sweep with a distinct,
-// identifiable error instead of hanging it.
-func MapTimeout[T any](ctx context.Context, p *Pool, n int, timeout time.Duration, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results, _, errs := runMap(ctx, p, n, timeout, fn, nil)
+	results, _, errs := runMap(ctx, p, n, 0, fn, nil)
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -116,13 +103,18 @@ func MapTimeout[T any](ctx context.Context, p *Pool, n int, timeout time.Duratio
 	return results, nil
 }
 
-// MapPartialNotify is MapTimeout for interruptible sweeps: instead of
-// discarding everything on failure or cancellation, it always returns
-// the per-index results alongside done flags marking the jobs that
-// completed. On a clean run err is nil and every flag is true. When the
-// caller's ctx is cancelled (e.g. SIGINT) err is ctx's error; when a
-// job fails, err joins the job errors — in both cases the completed
-// results are still valid and callers can flush them before exiting.
+// MapPartialNotify is Map for interruptible sweeps, with a per-job
+// deadline: each job's context expires timeout after the job starts
+// (timeout <= 0 means none), and a job that dies of its own deadline
+// fails with a *TimeoutError carrying its index, so one stuck run fails
+// with a distinct, identifiable error instead of hanging the sweep.
+// Instead of discarding everything on failure or cancellation, it
+// always returns the per-index results alongside done flags marking the
+// jobs that completed. On a clean run err is nil and every flag is
+// true. When the caller's ctx is cancelled (e.g. SIGINT) err is ctx's
+// error; when a job fails, err joins the job errors — in both cases the
+// completed results are still valid and callers can flush them before
+// exiting.
 // Cancellation echoes from sibling jobs (errors that merely wrap
 // context.Canceled) are dropped from err: the failure that stopped the
 // run is already recorded.
@@ -151,8 +143,7 @@ func MapPartialNotify[T any](ctx context.Context, p *Pool, n int, timeout time.D
 	return results, done, err
 }
 
-// runMap is the shared scheduling core of Map, MapTimeout and
-// MapPartialNotify.
+// runMap is the shared scheduling core of Map and MapPartialNotify.
 func runMap[T any](ctx context.Context, p *Pool, n int, timeout time.Duration, fn func(ctx context.Context, i int) (T, error), notify func(i int)) (results []T, done []bool, errs []error) {
 	results = make([]T, n)
 	done = make([]bool, n)

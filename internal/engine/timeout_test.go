@@ -8,14 +8,14 @@ import (
 )
 
 func TestMapTimeoutClassifiesStuckJob(t *testing.T) {
-	_, err := MapTimeout(context.Background(), New(2), 3, 20*time.Millisecond,
+	_, _, err := MapPartialNotify(context.Background(), New(2), 3, 20*time.Millisecond,
 		func(ctx context.Context, i int) (int, error) {
 			if i == 1 {
 				<-ctx.Done() // stuck job: only its deadline frees it
 				return 0, ctx.Err()
 			}
 			return i, nil
-		})
+		}, nil)
 	var te *TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want a *TimeoutError", err)
@@ -29,13 +29,13 @@ func TestMapTimeoutClassifiesStuckJob(t *testing.T) {
 }
 
 func TestMapTimeoutZeroMeansNone(t *testing.T) {
-	got, err := MapTimeout(context.Background(), New(2), 4, 0,
+	got, _, err := MapPartialNotify(context.Background(), New(2), 4, 0,
 		func(ctx context.Context, i int) (int, error) {
 			if _, ok := ctx.Deadline(); ok {
 				return 0, errors.New("deadline set despite timeout 0")
 			}
 			return i, nil
-		})
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestMapTimeoutCallerCancelIsNotATimeout(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, err := MapTimeout(ctx, New(1), 1, time.Hour,
+	_, _, err := MapPartialNotify(ctx, New(1), 1, time.Hour,
 		func(jobCtx context.Context, i int) (int, error) {
 			close(started)
 			<-jobCtx.Done()
 			return 0, jobCtx.Err()
-		})
+		}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

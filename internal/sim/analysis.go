@@ -30,12 +30,7 @@ type Fig3Result struct {
 }
 
 // Fig3 measures spatial locality and word reuse for every benchmark with
-// the paper's 10k-instruction interval method.
-func Fig3(instructions int, seed int64) ([]Fig3Result, error) {
-	return NewEngine(0).Fig3(context.Background(), instructions, seed)
-}
-
-// Fig3 runs the per-benchmark interval analysis as one engine job per
+// the paper's 10k-instruction interval method, one engine job per
 // benchmark, results in suite order.
 func (e *Engine) Fig3(ctx context.Context, instructions int, seed int64) ([]Fig3Result, error) {
 	profs := workload.Profiles()
@@ -75,11 +70,6 @@ type Fig6Result struct {
 	Placeable float64
 }
 
-// Fig6 runs the capacity study: the paper uses basicmath at 400 mV.
-func Fig6(benchmark string, op dvfs.OperatingPoint, maps int, seed int64) (*Fig6Result, error) {
-	return NewEngine(0).Fig6(context.Background(), benchmark, op, maps, seed)
-}
-
 // fig6Sample is one fault map's contribution to Figure 6.
 type fig6Sample struct {
 	kb     float64
@@ -87,7 +77,8 @@ type fig6Sample struct {
 	placed bool
 }
 
-// Fig6 draws and measures each Monte Carlo fault map as one engine job
+// Fig6 runs the capacity study (the paper uses basicmath at 400 mV). It
+// draws and measures each Monte Carlo fault map as one engine job
 // (the transformed program is shared read-only by the placement
 // checks), then folds the samples in map order.
 func (e *Engine) Fig6(ctx context.Context, benchmark string, op dvfs.OperatingPoint, maps int, seed int64) (*Fig6Result, error) {
@@ -154,25 +145,22 @@ type YieldRow struct {
 	Yield     float64
 }
 
+// yieldVerdict is one (operating point, map) coverage draw.
+type yieldVerdict struct {
+	wilk, bitfix, bbr bool
+}
+
 // YieldAnalysis estimates per-scheme yield across the DVFS table. It
 // covers the two schemes with non-trivial yield behaviour: plain
 // Wilkerson word-disable (no residual-fault fallback — the paper notes it
 // cannot reach 99.9% below 480 mV) and BBR (every basic block must find a
 // chunk). The word-disable/buffer schemes degrade gracefully and always
 // yield.
-func YieldAnalysis(maps int, seed int64) ([]YieldRow, error) {
-	return NewEngine(0).YieldAnalysis(context.Background(), maps, seed)
-}
-
-// yieldVerdict is one (operating point, map) coverage draw.
-type yieldVerdict struct {
-	wilk, bitfix, bbr bool
-}
-
-// YieldAnalysis flattens the (operating point × map) grid into engine
-// jobs — each draws its own seeded map and tests the three coverage
-// predicates against the shared read-only reference program — and folds
-// the verdicts per operating point.
+//
+// It flattens the (operating point × map) grid into engine jobs — each
+// draws its own seeded map and tests the three coverage predicates
+// against the shared read-only reference program — and folds the
+// verdicts per operating point.
 func (e *Engine) YieldAnalysis(ctx context.Context, maps int, seed int64) ([]YieldRow, error) {
 	if maps < 1 {
 		return nil, fmt.Errorf("sim: need at least one map")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestFig2Curve(t *testing.T) {
 }
 
 func TestFig3AllBenchmarks(t *testing.T) {
-	res, err := Fig3(60_000, 1)
+	res, err := NewEngine(0).Fig3(context.Background(), 60_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFig3AllBenchmarks(t *testing.T) {
 }
 
 func TestFig6BasicmathAt400(t *testing.T) {
-	res, err := Fig6("basicmath", op(t, 400), 12, 1)
+	res, err := NewEngine(0).Fig6(context.Background(), "basicmath", op(t, 400), 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +90,13 @@ func histMean(norm []float64) float64 {
 }
 
 func TestFig6UnknownBenchmark(t *testing.T) {
-	if _, err := Fig6("nope", op(t, 400), 2, 1); err == nil {
+	if _, err := NewEngine(0).Fig6(context.Background(), "nope", op(t, 400), 2, 1); err == nil {
 		t.Error("unknown benchmark must error")
 	}
 }
 
 func TestYieldAnalysis(t *testing.T) {
-	rows, err := YieldAnalysis(20, 1)
+	rows, err := NewEngine(0).YieldAnalysis(context.Background(), 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestYieldAnalysis(t *testing.T) {
 }
 
 func TestYieldAnalysisValidates(t *testing.T) {
-	if _, err := YieldAnalysis(0, 1); err == nil {
+	if _, err := NewEngine(0).YieldAnalysis(context.Background(), 0, 1); err == nil {
 		t.Error("zero maps must error")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
 	"repro/internal/energy"
-	"repro/internal/engine"
 	"repro/internal/faultmap"
 	"repro/internal/ffw"
 	"repro/internal/inject"
@@ -307,21 +306,4 @@ func residency(epochs []ChaosEpoch) []Residency {
 		}
 	}
 	return out
-}
-
-// ChaosCampaign runs the given specs as engine jobs, results in spec
-// order. RunChaos schedules no nested Map (the baseline goes through
-// the memo), so campaigns parallelize cleanly across the pool. The
-// engine's job timeout, if set, bounds each campaign — a stuck
-// campaign fails with an *engine.TimeoutError instead of hanging the
-// batch.
-func (e *Engine) ChaosCampaign(ctx context.Context, specs []ChaosSpec) ([]*ChaosResult, error) {
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
-		}
-	}
-	return engine.MapTimeout(ctx, e.pool, len(specs), e.jobTimeout, func(ctx context.Context, i int) (*ChaosResult, error) {
-		return e.RunChaos(ctx, specs[i])
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/dist"
 	"repro/internal/dvfs"
 	"repro/internal/inject"
 )
@@ -54,7 +55,7 @@ func TestInjectionRequiresFFWBBR(t *testing.T) {
 		Instructions: 1000, CPU: cpu.DefaultConfig(),
 		Inject: inject.Params{Seed: 1, Intensity: 1},
 	}
-	if _, err := Run(spec); err == nil {
+	if _, err := RunContext(context.Background(), spec); err == nil {
 		t.Fatal("injection on a scheme without recovery machinery accepted")
 	}
 }
@@ -144,7 +145,7 @@ func TestChaosCampaignDeterministicAcrossWorkers(t *testing.T) {
 
 	var want []*ChaosResult
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, err := NewEngine(workers).ChaosCampaign(context.Background(), specs)
+		got, _, err := ChaosJob.Grid(context.Background(), specs, dist.Options{LocalWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -162,7 +163,11 @@ func TestChaosCampaignDeterministicAcrossWorkers(t *testing.T) {
 // before any simulation runs.
 func TestChaosCampaignValidatesUpFront(t *testing.T) {
 	specs := []ChaosSpec{demoChaosSpec(), {Benchmark: "qsort"}}
-	if _, err := NewEngine(1).ChaosCampaign(context.Background(), specs); err == nil {
+	_, done, err := ChaosJob.Grid(context.Background(), specs, dist.Options{LocalWorkers: 1})
+	if err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+	if done != nil {
+		t.Fatalf("done = %v, want nil: no job may run", done)
 	}
 }

@@ -27,10 +27,9 @@ type Engine struct {
 	runs *engine.Memo[RunSpec, cpu.Result]
 	// runFn is the single-run entry point. Tests substitute it to
 	// inject failures and observe cancellation; production code always
-	// goes through Run.
+	// goes through RunContext.
 	runFn func(context.Context, RunSpec) (cpu.Result, error)
-	// jobTimeout bounds each simulation run (and each chaos campaign
-	// scheduled through ChaosCampaign); zero means unbounded.
+	// jobTimeout bounds each simulation run; zero means unbounded.
 	jobTimeout time.Duration
 }
 
@@ -119,7 +118,7 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) (cpu.Result, error) {
 // validateEvalInputs rejects malformed evaluation requests up front —
 // unknown scheme names, unknown or duplicate benchmarks — so a bad
 // argument surfaces as one clear top-level error instead of failing
-// deep inside Run on the first fault map of some cell.
+// deep inside RunContext on the first fault map of some cell.
 func validateEvalInputs(ss []Scheme, benchmarks []string) error {
 	for _, s := range ss {
 		if err := CheckScheme(s, false); err != nil {

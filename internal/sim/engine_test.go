@@ -173,7 +173,7 @@ func TestEvaluateHonoursContextCancellation(t *testing.T) {
 }
 
 func TestSweepDieContextMatchesSequential(t *testing.T) {
-	a, err := SweepDie(FFWBBR, "adpcm", 11, 11, 15_000, cpu.DefaultConfig())
+	a, err := NewEngine(1).SweepDie(context.Background(), FFWBBR, "adpcm", 11, 11, 15_000, cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSweepDieContextMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Error("parallel die sweep diverged from the default engine's")
+		t.Error("parallel die sweep diverged from the sequential one")
 	}
 }
 

@@ -40,18 +40,12 @@ type EvalCell struct {
 	YieldFails int
 }
 
-// Evaluate runs the full evaluation grid on a fresh engine with the
-// default worker count. Benchmarks defaults to the paper's ten when
-// nil; ops defaults to the low-voltage region.
-func Evaluate(cfg Config, ss []Scheme, benchmarks []string, ops []dvfs.OperatingPoint) ([]EvalCell, error) {
-	return NewEngine(0).Evaluate(context.Background(), cfg, ss, benchmarks, ops)
-}
-
 // Evaluate runs the full (scheme × operating point × benchmark) grid as
 // engine jobs: every cell's per-benchmark Monte Carlo loop is one job,
 // so whole cells and the loops inside them run in parallel up to the
-// worker bound. Results merge by index; output is byte-identical at any
-// worker count for the same cfg.Seed.
+// worker bound. Benchmarks defaults to the paper's ten when nil; ops
+// defaults to the low-voltage region. Results merge by index; output is
+// byte-identical at any worker count for the same cfg.Seed.
 func (e *Engine) Evaluate(ctx context.Context, cfg Config, ss []Scheme, benchmarks []string, ops []dvfs.OperatingPoint) ([]EvalCell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

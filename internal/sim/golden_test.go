@@ -70,7 +70,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	for _, s := range AllSchemes() {
 		for _, op := range dvfs.OperatingPoints() {
 			for _, seed := range []int64{1, 2} {
-				r, err := Run(RunSpec{
+				r, err := RunContext(ctx, RunSpec{
 					Scheme: s, Benchmark: mapBench[seed], Op: op,
 					MapSeed: seed, WorkSeed: seed, Instructions: goldenInstr, CPU: cfg,
 				})
@@ -84,12 +84,12 @@ func goldenCases(t *testing.T) []goldenCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(RunSpec{
+	r, err := RunContext(ctx, RunSpec{
 		Scheme: FFWBBR, Benchmark: "qsort", Op: at440, MapSeed: 4, WorkSeed: 4,
 		Instructions: goldenInstr, CPU: cfg, Inject: inject.Params{Seed: 5, Intensity: 3},
 	})
 	add("run/inject", r, err)
-	r, err = Run(RunSpec{
+	r, err = RunContext(ctx, RunSpec{
 		Scheme: FFWBBR, Benchmark: "qsort", Op: at440, MapSeed: 4, WorkSeed: 4,
 		Instructions: goldenInstr, CPU: cfg, Placement: ffw.PlacementFirstK, Scatter: true,
 	})
@@ -97,7 +97,7 @@ func goldenCases(t *testing.T) []goldenCase {
 
 	// One die per scheme across the DVFS ladder.
 	for _, s := range AllSchemes() {
-		d, err := SweepDie(s, "qsort", 3, 1, goldenInstr, cfg)
+		d, err := NewEngine(0).SweepDie(ctx, s, "qsort", 3, 1, goldenInstr, cfg)
 		add(fmt.Sprintf("die/%s", s), d, err)
 	}
 

@@ -67,12 +67,13 @@ func (s HierSpec) schemeFor(i int) Scheme {
 	return s.Scheme
 }
 
-// l2Point resolves the uncore operating point.
-func (s HierSpec) l2Point() (dvfs.OperatingPoint, error) {
-	if s.L2MV == 0 {
+// l2Point resolves a spec's L2MV to the uncore operating point; 0
+// means nominal.
+func l2Point(mv int) (dvfs.OperatingPoint, error) {
+	if mv == 0 {
 		return dvfs.Nominal(), nil
 	}
-	return dvfs.PointAt(s.L2MV)
+	return dvfs.PointAt(mv)
 }
 
 // Validate checks the specification.
@@ -83,7 +84,7 @@ func (s HierSpec) Validate() error {
 	if s.Instructions == 0 {
 		return errors.New("sim: zero instructions")
 	}
-	if _, err := s.l2Point(); err != nil {
+	if _, err := l2Point(s.L2MV); err != nil {
 		return err
 	}
 	for i, cs := range s.Cores {
@@ -144,7 +145,7 @@ func RunHierarchy(ctx context.Context, spec HierSpec) (*HierResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	l2op, err := spec.l2Point()
+	l2op, err := l2Point(spec.L2MV)
 	if err != nil {
 		return nil, err
 	}
@@ -225,10 +226,8 @@ func (s HierChaosSpec) Validate() error {
 	if err := s.Backoff.Validate(); err != nil {
 		return err
 	}
-	if s.L2MV != 0 {
-		if _, err := dvfs.PointAt(s.L2MV); err != nil {
-			return err
-		}
+	if _, err := l2Point(s.L2MV); err != nil {
+		return err
 	}
 	for i, cs := range s.Cores {
 		if _, err := dvfs.PointAt(cs.StartMV); err != nil {
@@ -305,12 +304,9 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	l2op := dvfs.Nominal()
-	if spec.L2MV != 0 {
-		var err error
-		if l2op, err = dvfs.PointAt(spec.L2MV); err != nil {
-			return nil, err
-		}
+	l2op, err := l2Point(spec.L2MV)
+	if err != nil {
+		return nil, err
 	}
 	h, err := hier.New(hier.Config{Cores: len(spec.Cores), L2: hierL2Params(l2op, spec.Banks, spec.MSHRs)})
 	if err != nil {

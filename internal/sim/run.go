@@ -1,8 +1,9 @@
 // Package sim is the experiment driver: it wires fault maps, schemes,
 // workloads, the timing model and the energy model into the paper's
-// evaluation — one Run per (scheme × benchmark × operating point × fault
-// map), Monte Carlo aggregation with the paper's 95%/5% stopping rule,
-// and one driver per table/figure (experiments.go, analysis.go).
+// evaluation — one RunContext per (scheme × benchmark × operating point
+// × fault map), Monte Carlo aggregation with the paper's 95%/5%
+// stopping rule, and one Engine method per table/figure
+// (experiments.go, analysis.go).
 package sim
 
 import (
@@ -93,13 +94,9 @@ var ErrYield = errors.New("sim: scheme cannot cover fault map")
 
 const l1Words = 32 * 1024 / 4
 
-// Run executes one simulation and returns the timing result.
-func Run(spec RunSpec) (cpu.Result, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cooperative cancellation (per-job timeouts in
-// campaign drivers); the context is threaded into the instruction loop.
+// RunContext executes one simulation and returns the timing result. The
+// context is threaded into the instruction loop, so cancellation (per-job
+// timeouts in campaign drivers) aborts the run promptly.
 func RunContext(ctx context.Context, spec RunSpec) (cpu.Result, error) {
 	fmI, fmD := drawMaps(faultmap.Generate, spec.Op.PfailBit, spec.MapSeed)
 	return runWithMaps(ctx, spec, fmI, fmD)

@@ -23,19 +23,19 @@ func op(t *testing.T, mv int) dvfs.OperatingPoint {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunSpec{Scheme: DefectFree, Benchmark: "nonesuch", Op: dvfs.Nominal(), Instructions: 10, CPU: cpu.DefaultConfig()}); err == nil {
+	if _, err := RunContext(context.Background(), RunSpec{Scheme: DefectFree, Benchmark: "nonesuch", Op: dvfs.Nominal(), Instructions: 10, CPU: cpu.DefaultConfig()}); err == nil {
 		t.Error("unknown benchmark must error")
 	}
-	if _, err := Run(RunSpec{Scheme: DefectFree, Benchmark: "adpcm", Op: dvfs.Nominal(), CPU: cpu.DefaultConfig()}); err == nil {
+	if _, err := RunContext(context.Background(), RunSpec{Scheme: DefectFree, Benchmark: "adpcm", Op: dvfs.Nominal(), CPU: cpu.DefaultConfig()}); err == nil {
 		t.Error("zero instructions must error")
 	}
-	if _, err := Run(RunSpec{Scheme: "bogus", Benchmark: "adpcm", Op: dvfs.Nominal(), Instructions: 10, CPU: cpu.DefaultConfig()}); err == nil {
+	if _, err := RunContext(context.Background(), RunSpec{Scheme: "bogus", Benchmark: "adpcm", Op: dvfs.Nominal(), Instructions: 10, CPU: cpu.DefaultConfig()}); err == nil {
 		t.Error("unknown scheme must error")
 	}
 }
 
 func TestConventionalBelowVccminIsYieldError(t *testing.T) {
-	_, err := Run(RunSpec{Scheme: Conventional, Benchmark: "adpcm", Op: op(t, 400), Instructions: 10, CPU: cpu.DefaultConfig()})
+	_, err := RunContext(context.Background(), RunSpec{Scheme: Conventional, Benchmark: "adpcm", Op: op(t, 400), Instructions: 10, CPU: cpu.DefaultConfig()})
 	if !errors.Is(err, ErrYield) {
 		t.Errorf("err = %v, want ErrYield", err)
 	}
@@ -48,7 +48,7 @@ func TestAllSchemesRunAt400(t *testing.T) {
 			// cannot cover 400 mV maps (both assert their own tests).
 			continue
 		}
-		r, err := Run(RunSpec{Scheme: s, Benchmark: "basicmath", Op: op(t, 400), MapSeed: 3, WorkSeed: 3, Instructions: 20_000, CPU: cpu.DefaultConfig()})
+		r, err := RunContext(context.Background(), RunSpec{Scheme: s, Benchmark: "basicmath", Op: op(t, 400), MapSeed: 3, WorkSeed: 3, Instructions: 20_000, CPU: cpu.DefaultConfig()})
 		if err != nil {
 			t.Errorf("%s: %v", s, err)
 			continue
@@ -64,11 +64,11 @@ func TestAllSchemesRunAt400(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	spec := RunSpec{Scheme: FFWBBR, Benchmark: "qsort", Op: op(t, 440), MapSeed: 5, WorkSeed: 5, Instructions: 20_000, CPU: cpu.DefaultConfig()}
-	a, err := Run(spec)
+	a, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestBBRExecutesOverheadJumps(t *testing.T) {
-	r, err := Run(RunSpec{Scheme: FFWBBR, Benchmark: "dijkstra", Op: op(t, 480), MapSeed: 1, WorkSeed: 1, Instructions: 30_000, CPU: cpu.DefaultConfig()})
+	r, err := RunContext(context.Background(), RunSpec{Scheme: FFWBBR, Benchmark: "dijkstra", Op: op(t, 480), MapSeed: 1, WorkSeed: 1, Instructions: 30_000, CPU: cpu.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Executed <= r.Instructions {
 		t.Error("BBR must execute inserted jumps on top of useful work")
 	}
-	df, _ := Run(RunSpec{Scheme: DefectFree, Benchmark: "dijkstra", Op: op(t, 480), MapSeed: 1, WorkSeed: 1, Instructions: 30_000, CPU: cpu.DefaultConfig()})
+	df, _ := RunContext(context.Background(), RunSpec{Scheme: DefectFree, Benchmark: "dijkstra", Op: op(t, 480), MapSeed: 1, WorkSeed: 1, Instructions: 30_000, CPU: cpu.DefaultConfig()})
 	if df.Executed != df.Instructions {
 		t.Error("non-BBR schemes have no overhead instructions")
 	}
@@ -138,7 +138,7 @@ func shape(t *testing.T) []EvalCell {
 	}
 	cfg := QuickConfig()
 	cfg.Instructions = 100_000
-	cells, err := Evaluate(cfg, EvalSchemes(), nil, []dvfs.OperatingPoint{op(t, 560), op(t, 480), op(t, 440), op(t, 400)})
+	cells, err := NewEngine(0).Evaluate(context.Background(), cfg, EvalSchemes(), nil, []dvfs.OperatingPoint{op(t, 560), op(t, 480), op(t, 440), op(t, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestEvaluateDefaults(t *testing.T) {
 	cfg.Instructions = 10_000
 	cfg.MaxMaps = 2
 	cfg.MinMaps = 2
-	cells, err := Evaluate(cfg, nil, []string{"adpcm"}, []dvfs.OperatingPoint{op(t, 560)})
+	cells, err := NewEngine(0).Evaluate(context.Background(), cfg, nil, []string{"adpcm"}, []dvfs.OperatingPoint{op(t, 560)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestEvaluateDefaults(t *testing.T) {
 }
 
 func TestEvaluateRejectsBadConfig(t *testing.T) {
-	if _, err := Evaluate(Config{}, nil, nil, nil); err == nil {
+	if _, err := NewEngine(0).Evaluate(context.Background(), Config{}, nil, nil, nil); err == nil {
 		t.Error("invalid config must be rejected")
 	}
 }
@@ -329,7 +329,7 @@ func TestSECDEDRuns(t *testing.T) {
 	// +1-cycle defect-free cache, at 400 mV its residual uncorrectable
 	// words cost extra L2 traffic.
 	mk := func(mv int) cpu.Result {
-		r, err := Run(RunSpec{Scheme: SECDEDScheme, Benchmark: "basicmath", Op: op(t, mv),
+		r, err := RunContext(context.Background(), RunSpec{Scheme: SECDEDScheme, Benchmark: "basicmath", Op: op(t, mv),
 			MapSeed: 2, WorkSeed: 2, Instructions: 40_000, CPU: cpu.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +341,7 @@ func TestSECDEDRuns(t *testing.T) {
 		t.Errorf("SECDED L2 traffic should grow with defect density: %d -> %d", hi.L2Reads, lo.L2Reads)
 	}
 	// Also covers the clean-map path.
-	r, err := Run(RunSpec{Scheme: SECDEDScheme, Benchmark: "adpcm", Op: dvfs.Nominal(),
+	r, err := RunContext(context.Background(), RunSpec{Scheme: SECDEDScheme, Benchmark: "adpcm", Op: dvfs.Nominal(),
 		WorkSeed: 1, Instructions: 10_000, CPU: cpu.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestAblationKnobsThroughRunSpec(t *testing.T) {
 	// The Placement and Scatter knobs must flow through to FFW: the three
 	// policies produce observably different executions.
 	run := func(p ffw.WindowPlacement, scatter bool) float64 {
-		r, err := Run(RunSpec{Scheme: FFWBBR, Benchmark: "adpcm", Op: op(t, 400),
+		r, err := RunContext(context.Background(), RunSpec{Scheme: FFWBBR, Benchmark: "adpcm", Op: op(t, 400),
 			MapSeed: 4, WorkSeed: 4, Instructions: 40_000, CPU: cpu.DefaultConfig(),
 			Placement: p, Scatter: scatter})
 		if err != nil {
@@ -377,11 +377,11 @@ func TestWilkersonPlainYieldWall(t *testing.T) {
 	// expressed as behaviour.
 	ok560, fail400 := 0, 0
 	for m := int64(0); m < 6; m++ {
-		if _, err := Run(RunSpec{Scheme: WilkersonPlain, Benchmark: "adpcm", Op: op(t, 560),
+		if _, err := RunContext(context.Background(), RunSpec{Scheme: WilkersonPlain, Benchmark: "adpcm", Op: op(t, 560),
 			MapSeed: m, WorkSeed: 1, Instructions: 5_000, CPU: cpu.DefaultConfig()}); err == nil {
 			ok560++
 		}
-		if _, err := Run(RunSpec{Scheme: WilkersonPlain, Benchmark: "adpcm", Op: op(t, 400),
+		if _, err := RunContext(context.Background(), RunSpec{Scheme: WilkersonPlain, Benchmark: "adpcm", Op: op(t, 400),
 			MapSeed: m, WorkSeed: 1, Instructions: 5_000, CPU: cpu.DefaultConfig()}); errors.Is(err, ErrYield) {
 			fail400++
 		}

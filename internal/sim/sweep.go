@@ -3,14 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
-	"math/rand"
 
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
 	"repro/internal/energy"
 	"repro/internal/engine"
-	"repro/internal/faultmap"
-	"repro/internal/workload"
 )
 
 // DieSweep evaluates one scheme on one *die* across the whole DVFS
@@ -40,26 +37,14 @@ type DiePoint struct {
 
 // SweepDie runs scheme × benchmark at every low-voltage operating point
 // of one die (identified by dieSeed), plus the 760 mV conventional
-// baseline used for EPI normalization, on a fresh engine with the
-// default worker count.
-func SweepDie(scheme Scheme, benchmark string, dieSeed, workSeed int64, instructions uint64, cfg cpu.Config) (*DieSweep, error) {
-	return NewEngine(0).SweepDie(context.Background(), scheme, benchmark, dieSeed, workSeed, instructions, cfg)
-}
-
-// SweepDie runs one die's DVFS ladder with each operating point as an
+// baseline used for EPI normalization, with each operating point as an
 // engine job. The die's nested fault-map series is drawn once up front
 // (its thresholds are fixed at construction, so per-point
 // materialization is order-independent and read-only); the conventional
 // baseline goes through the run memo, so sweeping many dies of the same
 // benchmark on one engine simulates it only once.
 func (e *Engine) SweepDie(ctx context.Context, scheme Scheme, benchmark string, dieSeed, workSeed int64, instructions uint64, cfg cpu.Config) (*DieSweep, error) {
-	if _, err := workload.ByName(benchmark); err != nil {
-		return nil, err
-	}
-	if instructions == 0 {
-		return nil, errors.New("sim: zero instructions")
-	}
-	if err := CheckScheme(scheme, true); err != nil {
+	if err := (DieSpec{Scheme: scheme, Benchmark: benchmark, DieSeed: dieSeed, WorkSeed: workSeed, Instructions: instructions, CPU: cfg}).Validate(); err != nil {
 		return nil, err
 	}
 
@@ -112,20 +97,4 @@ func (s *DieSweep) OptimalPoint() (DiePoint, bool) {
 		}
 	}
 	return best, found
-}
-
-// MonotoneDefects reports whether the die's defect exposure grows
-// monotonically as voltage falls — a sanity check on the nested maps,
-// exposed for tests.
-func MonotoneDefects(dieSeed int64) bool {
-	series := faultmap.NewSeries(l1Words, rand.New(rand.NewSource(dieSeed)))
-	prev := -1
-	for _, op := range dvfs.LowVoltagePoints() {
-		n := series.MapAt(op.PfailBit).CountDefective()
-		if n < prev {
-			return false
-		}
-		prev = n
-	}
-	return true
 }

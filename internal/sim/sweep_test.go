@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/dvfs"
+	"repro/internal/faultmap"
 )
 
 func TestSweepDieBasics(t *testing.T) {
-	s, err := SweepDie(FFWBBR, "basicmath", 3, 3, 30_000, cpu.DefaultConfig())
+	s, err := NewEngine(0).SweepDie(context.Background(), FFWBBR, "basicmath", 3, 3, 30_000, cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +37,22 @@ func TestSweepDieBasics(t *testing.T) {
 	}
 }
 
+// TestSweepDieDefectsGrowMonotonically: on one die, each side's defect
+// count can only grow as voltage falls. It checks the I- and D-side
+// series that die sweeps and campaigns actually draw (dieSeries).
 func TestSweepDieDefectsGrowMonotonically(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		if !MonotoneDefects(seed) {
-			t.Errorf("seed %d: nested maps lost monotonicity", seed)
+		seriesI, seriesD := dieSeries(seed)
+		for side, series := range []*faultmap.Series{seriesI, seriesD} {
+			prev := -1
+			for _, op := range dvfs.LowVoltagePoints() {
+				n := series.MapAt(op.PfailBit).CountDefective()
+				if n < prev {
+					t.Errorf("seed %d %s-side: %d defects at %d mV, %d one point higher",
+						seed, [...]string{"I", "D"}[side], n, op.VoltageMV, prev)
+				}
+				prev = n
+			}
 		}
 	}
 }
@@ -46,7 +61,7 @@ func TestSweepDieCyclesGrowAsVoltageFalls(t *testing.T) {
 	// On one die, deeper scaling can only add defects, so a scheme's
 	// cycle count (same work) should not decrease from 560 mV to 400 mV
 	// by more than noise.
-	s, err := SweepDie(SimpleWdis, "dijkstra", 7, 7, 30_000, cpu.DefaultConfig())
+	s, err := NewEngine(0).SweepDie(context.Background(), SimpleWdis, "dijkstra", 7, 7, 30_000, cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,23 +73,23 @@ func TestSweepDieCyclesGrowAsVoltageFalls(t *testing.T) {
 }
 
 func TestSweepDieValidation(t *testing.T) {
-	if _, err := SweepDie(FFWBBR, "nope", 1, 1, 100, cpu.DefaultConfig()); err == nil {
+	if _, err := NewEngine(0).SweepDie(context.Background(), FFWBBR, "nope", 1, 1, 100, cpu.DefaultConfig()); err == nil {
 		t.Error("unknown benchmark must error")
 	}
-	if _, err := SweepDie(FFWBBR, "adpcm", 1, 1, 0, cpu.DefaultConfig()); err == nil {
+	if _, err := NewEngine(0).SweepDie(context.Background(), FFWBBR, "adpcm", 1, 1, 0, cpu.DefaultConfig()); err == nil {
 		t.Error("zero instructions must error")
 	}
-	if _, err := SweepDie(SECDEDScheme, "adpcm", 1, 1, 100, cpu.DefaultConfig()); err == nil {
+	if _, err := NewEngine(0).SweepDie(context.Background(), SECDEDScheme, "adpcm", 1, 1, 100, cpu.DefaultConfig()); err == nil {
 		t.Error("SECDED die sweeps must be rejected")
 	}
 }
 
 func TestSweepDieDeterministic(t *testing.T) {
-	a, err := SweepDie(FFWBBR, "adpcm", 9, 9, 20_000, cpu.DefaultConfig())
+	a, err := NewEngine(0).SweepDie(context.Background(), FFWBBR, "adpcm", 9, 9, 20_000, cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepDie(FFWBBR, "adpcm", 9, 9, 20_000, cpu.DefaultConfig())
+	b, err := NewEngine(0).SweepDie(context.Background(), FFWBBR, "adpcm", 9, 9, 20_000, cpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

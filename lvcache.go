@@ -6,12 +6,13 @@
 // CPU timing models, synthetic SPEC/MiBench-shaped workloads, and a
 // CACTI-style area/latency/leakage model).
 //
-// This package is the public facade: it re-exports the experiment driver
-// and the main entry points. The implementation lives under internal/
-// (one package per subsystem; see DESIGN.md for the map). Typical use:
+// This package is the public facade: it re-exports the experiment types,
+// and the paper's experiments run as methods of an Engine from NewEngine.
+// The implementation lives under internal/ (one package per subsystem; see
+// DESIGN.md for the map). Typical use:
 //
 //	cfg := lvcache.QuickConfig()
-//	cells, err := lvcache.Evaluate(cfg, lvcache.EvalSchemes(), nil, nil)
+//	cells, err := lvcache.NewEngine(0).Evaluate(ctx, cfg, lvcache.EvalSchemes(), nil, nil)
 //
 // runs the paper's Figure 10–12 evaluation grid: every scheme at every
 // low-voltage operating point, Monte Carlo over fault maps, normalized
@@ -175,61 +176,8 @@ func QuickConfig() Config { return sim.QuickConfig() }
 // tables and figures.
 func ReportConfig() Config { return sim.ReportConfig() }
 
-// Run executes one simulation (one scheme, benchmark, operating point,
-// fault map).
-func Run(spec RunSpec) (Result, error) { return sim.Run(spec) }
-
-// Evaluate runs the full evaluation grid; nil benchmarks/ops select the
-// paper's ten benchmarks and five low-voltage operating points. It is a
-// thin wrapper over EvaluateContext with a background context.
-func Evaluate(cfg Config, schemes []Scheme, benchmarks []string, ops []OperatingPoint) ([]EvalCell, error) {
-	return sim.Evaluate(cfg, schemes, benchmarks, ops)
-}
-
-// EvaluateContext is Evaluate with cancellation: the grid runs as
-// parallel jobs on a fresh default-width engine and aborts promptly
-// when ctx is cancelled. To share memoized runs across several grids,
-// construct one Engine with NewEngine and call its Evaluate instead.
-func EvaluateContext(ctx context.Context, cfg Config, schemes []Scheme, benchmarks []string, ops []OperatingPoint) ([]EvalCell, error) {
-	return sim.NewEngine(0).Evaluate(ctx, cfg, schemes, benchmarks, ops)
-}
-
-// EvalRow runs one Monte Carlo grid cell — a scheme × benchmark at one
-// Table II voltage, aggregated over fault maps — on a fresh
-// default-width engine. To share the memoized 760 mV baseline across
-// rows, construct one Engine with NewEngine and call its EvalRow.
-func EvalRow(ctx context.Context, spec RowSpec) (RowResult, error) {
-	return sim.NewEngine(0).EvalRow(ctx, spec)
-}
-
-// SweepDie evaluates one scheme on a single die across the DVFS ladder
-// (fault maps nested across voltages, as real silicon degrades). It is
-// a thin wrapper over SweepDieContext with a background context.
-func SweepDie(scheme Scheme, benchmark string, dieSeed, workSeed int64, instructions uint64, cpuCfg CPUConfig) (*DieSweep, error) {
-	return sim.SweepDie(scheme, benchmark, dieSeed, workSeed, instructions, cpuCfg)
-}
-
-// SweepDieContext is SweepDie with cancellation, running the ladder's
-// operating points as parallel jobs on a fresh default-width engine.
-func SweepDieContext(ctx context.Context, scheme Scheme, benchmark string, dieSeed, workSeed int64, instructions uint64, cpuCfg CPUConfig) (*DieSweep, error) {
-	return sim.NewEngine(0).SweepDie(ctx, scheme, benchmark, dieSeed, workSeed, instructions, cpuCfg)
-}
-
 // DefaultBackoffConfig returns the back-off controller's default tuning.
 func DefaultBackoffConfig() BackoffConfig { return dvfs.DefaultBackoffConfig() }
-
-// RunChaos executes one fault-injection campaign on a fresh
-// default-width engine with a background context. It is the facade over
-// Engine.RunChaos; to batch campaigns with shared memoized baselines,
-// construct one Engine and call its ChaosCampaign.
-func RunChaos(spec ChaosSpec) (*ChaosResult, error) {
-	return sim.NewEngine(0).RunChaos(context.Background(), spec)
-}
-
-// RunChaosContext is RunChaos with cancellation.
-func RunChaosContext(ctx context.Context, spec ChaosSpec) (*ChaosResult, error) {
-	return sim.NewEngine(0).RunChaos(ctx, spec)
-}
 
 // NewHierarchy builds an event-driven multicore hierarchy: cores core
 // components sharing one banked L2 on a fresh deterministic event
@@ -243,7 +191,7 @@ func DefaultL2Params(op OperatingPoint) L2Params { return hier.DefaultL2Params(o
 
 // RunHierarchy executes one event-driven multicore run. The
 // single-core configuration with the L2 in the core's clock domain
-// reproduces Run's trace-driven cycle counts within
+// reproduces Engine.Run's trace-driven cycle counts within
 // sim.CalibrationTolerance (the calibration regression pins this).
 func RunHierarchy(ctx context.Context, spec HierSpec) (*HierResult, error) {
 	return sim.RunHierarchy(ctx, spec)

@@ -1,6 +1,7 @@
 package lvcache
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
@@ -58,7 +59,9 @@ func TestFacadeRunAndEvaluate(t *testing.T) {
 			p400 = op
 		}
 	}
-	r, err := Run(RunSpec{
+	ctx := context.Background()
+	eng := NewEngine(0)
+	r, err := eng.Run(ctx, RunSpec{
 		Scheme: FFWBBR, Benchmark: "adpcm", Op: p400,
 		MapSeed: 1, WorkSeed: 1, Instructions: 20_000, CPU: cpu.DefaultConfig(),
 	})
@@ -71,7 +74,7 @@ func TestFacadeRunAndEvaluate(t *testing.T) {
 
 	cfg := QuickConfig()
 	cfg.Instructions = 15_000
-	cells, err := Evaluate(cfg, []Scheme{FFWBBR}, []string{"adpcm"}, []OperatingPoint{p400})
+	cells, err := eng.Evaluate(ctx, cfg, []Scheme{FFWBBR}, []string{"adpcm"}, []OperatingPoint{p400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestFacadeConfigs(t *testing.T) {
 }
 
 func TestFacadeRunChaos(t *testing.T) {
-	res, err := RunChaos(ChaosSpec{
+	res, err := NewEngine(0).RunChaos(context.Background(), ChaosSpec{
 		Benchmark: "qsort", DieSeed: 3, WorkSeed: 1,
 		Inject:  InjectParams{Seed: 9, Intensity: 5},
 		StartMV: 400, Epochs: 4, EpochInstructions: 20_000,
