@@ -77,3 +77,55 @@ func TestUnaryBodiesMatchDirectEncoding(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepRowsMatchDirectEncoding runs a real grid through /v1/sweep:
+// row i must be the i-th cell of the scheme-major expansion, and its
+// result bytes must equal the direct EvalRow encoding of that cell.
+func TestSweepRowsMatchDirectEncoding(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		s.Close()
+		ts.Close()
+	})
+	schemes := []sim.Scheme{sim.SimpleWdis, sim.WilkersonPlus, sim.FBAPlus, sim.IDCPlus}
+	mvs := []int{400, 560}
+	spec := SweepSpec{Schemes: schemes, Benchmarks: []string{"qsort"}, MVs: mvs, Maps: 2, Seed: 1, Instructions: 20_000}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, got, _ := post(t, ts.URL, "/v1/sweep", string(body), nil)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	cells := len(schemes) * len(mvs)
+	assertCleanStream(t, got, cells, true)
+	lines := bytes.Split(bytes.TrimSuffix(got, []byte("\n")), []byte("\n"))
+	ctx := context.Background()
+	for i, line := range lines[:cells] {
+		var row struct {
+			Index  int             `json:"index"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatal(err)
+		}
+		cell := sim.RowSpec{
+			Scheme: schemes[i/len(mvs)], Benchmark: "qsort", MV: mvs[i%len(mvs)],
+			Maps: 2, Seed: 1, Instructions: 20_000, CPU: cpu.DefaultConfig(),
+		}
+		res, err := sim.NewEngine(1).EvalRow(ctx, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Index != i || !bytes.Equal(row.Result, want) {
+			t.Errorf("row %d (index %d, %s at %d mV) differs from the direct encoding:\n%s\n%s",
+				i, row.Index, cell.Scheme, cell.MV, row.Result, want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
@@ -426,6 +427,17 @@ func TestHitLatencyConstantAcrossRun(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		iBefore, dBefore := ic.HitLatency(), dc.HitLatency()
+		// Table III's extra cycle is declared once in cacti and once in
+		// each scheme; the two must agree.
+		row, err := rowFor(c.spec.Scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := cache.L1Config("").HitLatency
+		if iBefore != base+row.iDesign.ExtraCycles || dBefore != base+row.dDesign.ExtraCycles {
+			t.Errorf("%s: hit latency I %d D %d, cacti says I %d D %d", c.name, iBefore, dBefore,
+				base+row.iDesign.ExtraCycles, base+row.dDesign.ExtraCycles)
+		}
 		if _, err := cpu.RunContext(context.Background(), c.spec.CPU, stream, ic, dc, next, c.spec.Instructions); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
