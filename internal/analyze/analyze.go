@@ -263,7 +263,7 @@ func fsetOf(pkgs []*Package) *token.FileSet {
 
 // ignoreRe matches suppression comments:
 //
-//	//lvlint:ignore determinism reproduced from the paper's listing
+//	//lvlint:ignore detflow reproduced from the paper's listing
 //	//lvlint:ignore nopanic,errdrop reason text
 //
 // The reason is free text; a check list of "all" matches every check.

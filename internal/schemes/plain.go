@@ -2,12 +2,18 @@
 // the paper's evaluation (Section V/VI): the ideal defect-free cache, the
 // robust 8T-cell cache, Simple word disable [2], Wilkerson's word disable
 // [4] (with the simple-wdis supplement, "Wilkerson+"), the Fault Buffer
-// Array [2] and the Inquisitive Defect Cache [21]. The paper's own
-// proposals live in packages ffw and bbr.
+// Array [2] and the Inquisitive Defect Cache [21], plus two extension
+// baselines the paper discusses but does not evaluate: per-word SECDED
+// ECC and Wilkerson's Bit-fix [4]. The paper's own proposals live in
+// packages ffw and bbr.
 //
 // Every scheme implements core.DataCache and core.InstrCache over the
 // same 32 KB/4-way L1 geometry; the simulation layer instantiates one
-// copy per cache with that cache's fault map.
+// copy per cache with that cache's fault map. The defect-oblivious
+// caches are Plain. The word-disable family is two types: WordDisable
+// (Simple-wdis, SECDED, Wilkerson+, Bit-fix), which sends every access
+// to a defective word entry to the L2, and Buffered (FBA, IDC), which
+// holds in-use defective words in a small side buffer.
 package schemes
 
 import (

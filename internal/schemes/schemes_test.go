@@ -298,6 +298,9 @@ func TestIDCBasics(t *testing.T) {
 	if out := c.Read(addr); !out.Hit {
 		t.Error("aux cache should serve the repeat")
 	}
+	if c.Entries() != 1 {
+		t.Errorf("Entries = %d, want 1", c.Entries())
+	}
 	big, _ := NewIDC(cleanMap(), next(t), 1024)
 	if big.Name() != "IDC+" {
 		t.Errorf("name = %q", big.Name())
@@ -508,17 +511,17 @@ func TestSchemeStatsAccessors(t *testing.T) {
 	}
 	s.Read(0)
 	if s.Stats().Accesses != 1 {
-		t.Error("SimpleWdis.Stats not wired")
+		t.Error("Simple-wdis Stats not wired")
 	}
 	w, _ := NewWilkersonPlus(cleanMap(), n)
 	w.Read(0)
 	if w.Stats().Accesses != 1 {
-		t.Error("Wilkerson.Stats not wired")
+		t.Error("Wilkerson+ Stats not wired")
 	}
 	c, _ := NewIDC(cleanMap(), n, 64)
 	c.Read(0)
 	if c.Stats().Accesses != 1 {
-		t.Error("IDC.Stats not wired")
+		t.Error("IDC Stats not wired")
 	}
 }
 
@@ -544,17 +547,4 @@ func TestConstructorNilNextLevel(t *testing.T) {
 		}
 	}()
 	NewDefectFree(nil)
-}
-
-func TestWordEntryDefective(t *testing.T) {
-	cfg := cache.L1Config("x")
-	fm := cleanMap()
-	fm.SetDefective(cfg.FrameWordIndex(3, 2, 5), true)
-	addr := uint64(3*32 + 5*4) // set 3, word 5
-	if !WordEntryDefective(fm, cfg, addr, 2) {
-		t.Error("defective entry not reported")
-	}
-	if WordEntryDefective(fm, cfg, addr, 1) {
-		t.Error("clean way reported defective")
-	}
 }

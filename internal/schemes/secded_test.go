@@ -92,6 +92,6 @@ func TestSECDEDVsWdisResidualRates(t *testing.T) {
 }
 
 func TestSECDEDImplementsInterfaces(t *testing.T) {
-	var _ core.DataCache = (*SECDED)(nil)
-	var _ core.InstrCache = (*SECDED)(nil)
+	var _ core.DataCache = (*WordDisable)(nil)
+	var _ core.InstrCache = (*WordDisable)(nil)
 }

@@ -1,20 +1,143 @@
 package schemes
 
 import (
+	"errors"
+	"fmt"
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/faultmap"
 )
 
-// SimpleWdis is simple word disable ([2], the paper's Simple-wdis):
-// defective words are never stored; an access to a word whose entry is
-// defective is treated like a normal cache miss and served by the L2,
-// every time. No extra latency (Table III), no substitution storage —
-// the cheapest scheme, and the one that collapses when defects become
-// dense (Figure 10 beyond 480 mV).
-type SimpleWdis struct {
+// l1cfg is the 32 KB/4-way organization every scheme shares.
+var l1cfg = cache.L1Config("")
+
+// errNilNext is shared by scheme constructors.
+var errNilNext = errors.New("schemes: nil next level")
+
+// maskedCache is the shared substrate of the word-disable family: a
+// set-associative tag array whose frames carry the fault mask of the
+// word entries they supply. A frame is a physical way (Simple-wdis,
+// SECDED, FBA, IDC), a pair of ways combined into one logical line
+// (Wilkerson⁺) or one of the three data ways left beside the repair way
+// (Bit-fix).
+type maskedCache struct {
+	geo    cache.Geometry
+	frames int     // frames per set
+	lines  []mline // Sets() x frames, set-major
+	tick   uint64
+}
+
+type mline struct {
+	tag   uint64
+	valid bool
+	lru   uint64
+	fault uint8 // defective word entries of this frame
+}
+
+// frameMask derives one frame's fault mask from the map.
+type frameMask func(fm *faultmap.Map, set, frame int) uint8
+
+// newMaskedCache builds the tag array over fm with frames frames per
+// set. mask runs only here, never per access.
+func newMaskedCache(fm *faultmap.Map, frames int, mask frameMask) (maskedCache, error) {
+	if fm.Words() != l1cfg.Words() {
+		return maskedCache{}, fmt.Errorf("schemes: fault map covers %d words, cache has %d", fm.Words(), l1cfg.Words())
+	}
+	m := maskedCache{geo: l1cfg.Geometry(), frames: frames, lines: make([]mline, l1cfg.Sets()*frames)}
+	for i := range m.lines {
+		m.lines[i].fault = mask(fm, i/frames, i%frames)
+	}
+	return m, nil
+}
+
+// access looks addr up and reports whether its tag hit and whether the
+// requested word's entry is fault-free in the hit frame, or with
+// allocate in the frame a tag miss fills. A tag hit refreshes the
+// frame's LRU stamp whether or not allocate is set, so a store to a
+// resident line changes the next victim. A tag miss with allocate fills
+// the LRU frame whether or not the requested word's entry is usable
+// (its neighbours still benefit); one without allocate changes nothing.
+func (m *maskedCache) access(addr uint64, allocate bool) (tagHit, wordOK bool) {
+	m.tick++
+	base := m.geo.Index(addr) * m.frames
+	set := m.lines[base : base+m.frames]
+	tag := m.geo.Tag(addr)
+	bit := uint8(1) << uint(cache.WordInBlock(addr))
+	if l := lookup(set, tag, m.tick); l != nil {
+		return true, l.fault&bit == 0
+	}
+	if !allocate {
+		return false, false
+	}
+	// All frames stay usable: even a fully defective frame keeps tags
+	// in the robust 8T tag array; it just never supplies words.
+	l := victim(set)
+	*l = mline{tag: tag, valid: true, lru: m.tick, fault: l.fault}
+	return false, l.fault&bit == 0
+}
+
+// lookup returns set's valid line holding tag, stamped with tick, or
+// nil.
+func lookup(set []mline, tag, tick uint64) *mline {
+	for i := range set {
+		if l := &set[i]; l.valid && l.tag == tag {
+			l.lru = tick
+			return l
+		}
+	}
+	return nil
+}
+
+// victim returns set's first invalid line, else its least recently
+// used one.
+func victim(set []mline) *mline {
+	best, bestLRU := 0, ^uint64(0)
+	for i := range set {
+		if !set[i].valid {
+			return &set[i]
+		}
+		if set[i].lru < bestLRU {
+			best, bestLRU = i, set[i].lru
+		}
+	}
+	return &set[best]
+}
+
+// wayMask is a physical way's own fault mask.
+func wayMask(fm *faultmap.Map, set, way int) uint8 { return fm.BlockMask(set*l1cfg.Ways + way) }
+
+// pairMask is a Wilkerson logical line's mask: a slot is defective only
+// when both of its physical entries are.
+func pairMask(fm *faultmap.Map, set, line int) uint8 {
+	return wayMask(fm, set, 2*line) & wayMask(fm, set, 2*line+1)
+}
+
+// bitFixMask is a Bit-fix data frame's mask after its repair budget.
+func bitFixMask(fm *faultmap.Map, set, way int) uint8 {
+	return repairMask(wayMask(fm, set, way), BitFixRepairsPerFrame)
+}
+
+// repairMask clears the lowest `repairs` set bits of the fault mask —
+// those words are patched by the fix way and behave fault-free.
+func repairMask(fault uint8, repairs int) uint8 {
+	for i := 0; i < repairs && fault != 0; i++ {
+		fault &= fault - 1 // clear lowest set bit
+	}
+	return fault
+}
+
+// WordDisable is a word-disable cache without substitution storage:
+// an access whose word entry is defective is treated like a normal
+// cache miss and served by the L2, every time. Writes are write-through
+// without allocation. Simple-wdis, SECDED, Wilkerson⁺ and Bit-fix are
+// all WordDisable caches; they differ in their frames, their fault
+// masks and whether they add a cycle.
+type WordDisable struct {
 	name string
-	m    *maskedCache
+	lat  int
+	m    maskedCache
 	next *core.NextLevel
 
 	stats WdisStats
@@ -28,72 +151,155 @@ type WdisStats struct {
 	DefectMisses uint64 // accesses whose word entry was defective
 }
 
-// NewSimpleWdis builds the scheme over the cache's fault map.
-func NewSimpleWdis(fm *faultmap.Map, next *core.NextLevel) (*SimpleWdis, error) {
-	m, err := newMaskedCache("L1-wdis", fm)
+// newWordDisable builds a WordDisable whose hit path takes extra cycles
+// beyond the base L1's.
+func newWordDisable(name string, extra int, fm *faultmap.Map, next *core.NextLevel, frames int, mask frameMask) (*WordDisable, error) {
+	m, err := newMaskedCache(fm, frames, mask)
 	if err != nil {
 		return nil, err
 	}
 	if next == nil {
 		return nil, errNilNext
 	}
-	return &SimpleWdis{name: "Simple-wdis", m: m, next: next}, nil
+	return &WordDisable{name: name, lat: l1cfg.HitLatency + extra, m: m, next: next}, nil
+}
+
+// NewSimpleWdis builds simple word disable ([2], the paper's
+// Simple-wdis) over the cache's fault map. No extra latency (Table
+// III), no substitution storage — the cheapest scheme, and the one that
+// collapses when defects become dense (Figure 10 beyond 480 mV).
+func NewSimpleWdis(fm *faultmap.Map, next *core.NextLevel) (*WordDisable, error) {
+	return newWordDisable("Simple-wdis", 0, fm, next, l1cfg.Ways, wayMask)
+}
+
+// NewSECDED builds the error-correcting-code baseline from the paper's
+// related work (Section III-B): every 32-bit word carries a (39,32)
+// SECDED code. A single hard-failed bit per word is corrected in-line;
+// words with two or more failed bits are uncorrectable and must be
+// disabled — accesses to them are L2 trips, exactly like simple word
+// disable. The correction stage adds one cycle to the hit path, and the
+// check bits cost ~22% array area.
+//
+// The paper's argument against this class — "with aggressive voltage
+// scaling, multi-bit errors become increasingly likely and quickly
+// overwhelm the capability of ECC" — is directly measurable here: the
+// residual (≥2-bit) word defect rate is ~5e-6 at 560 mV but 4.1% at
+// 400 mV, so SECDED behaves like an always-one-cycle-slower cache at
+// moderate voltage and degrades toward word-disable behaviour at 400 mV.
+//
+// Pass the *multi-bit* fault map from faultmap.GenerateSECDED (not the
+// raw word map).
+func NewSECDED(multibit *faultmap.Map, next *core.NextLevel) (*WordDisable, error) {
+	return newWordDisable("SECDED", 1, multibit, next, l1cfg.Ways, wayMask)
+}
+
+// NewWilkersonPlus builds Wilkerson's word-disable scheme [4]: two
+// consecutive physical frames combine into one logical line, each word
+// slot served by whichever of the two frames has that entry fault-free.
+// Capacity and associativity are halved (4-way/32 KB becomes effectively
+// 2-way/16 KB) and the combining multiplexers cost one extra cycle
+// (Table III).
+//
+// A logical slot is defective only when *both* physical entries fail.
+// Plain word-disable requires every logical slot in the cache to be
+// usable — which stops yielding below ~480 mV (the paper's Fig. 10 note);
+// the evaluated variant is Wilkerson⁺, which falls back to simple word
+// disable (an L2 trip per access) on residual defective slots.
+func NewWilkersonPlus(fm *faultmap.Map, next *core.NextLevel) (*WordDisable, error) {
+	return newWordDisable("Wilkerson+", 1, fm, next, l1cfg.Ways/2, pairMask)
+}
+
+// BitFixRepairsPerFrame is each data frame's repair budget: the fix way's
+// eight words, with position tags and valid bits, cover about two
+// repaired words for each of its three client frames.
+const BitFixRepairsPerFrame = 2
+
+// NewBitFix adapts Wilkerson's bit-fix scheme [4] to this simulator's
+// word granularity: one way per set (a quarter of the cache) is
+// sacrificed to store repair patterns for the other three, and each
+// remaining frame can have up to BitFixRepairsPerFrame of its defective
+// words patched by those entries. The fix-up multiplexing costs one
+// extra cycle, capacity drops to 75%, and — the paper's point in §III —
+// the repair budget that comfortably covers the defect density at
+// 500 mV is swamped at 400 mV, where frames average 2.2 defective words
+// and the unrepaired excess behaves like simple word disable.
+//
+// The fix way is way 3 of each set; its own defects reduce nothing
+// further (repair entries are small and protected like tag state in the
+// original design).
+func NewBitFix(fm *faultmap.Map, next *core.NextLevel) (*WordDisable, error) {
+	return newWordDisable("Bit-fix", 1, fm, next, l1cfg.Ways-1, bitFixMask)
+}
+
+// everyFrame reports whether fm is sized for the L1 and ok(set, frame)
+// holds for frames 0..frames-1 of every set.
+func everyFrame(fm *faultmap.Map, frames int, ok func(set, frame int) bool) bool {
+	if fm.Words() != l1cfg.Words() {
+		return false
+	}
+	for s := 0; s < l1cfg.Sets(); s++ {
+		for f := 0; f < frames; f++ {
+			if !ok(s, f) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Coverable reports whether plain Wilkerson word-disable (without the
+// simple-wdis supplement) can guarantee architecturally correct execution
+// on this fault map: no logical slot may be defective. This is the yield
+// criterion behind the paper's "Wilkerson cannot achieve 99.9% chip yield
+// below 480mV".
+func Coverable(fm *faultmap.Map) bool {
+	return everyFrame(fm, l1cfg.Ways/2, func(s, l int) bool { return pairMask(fm, s, l) == 0 })
+}
+
+// CoverableBitFix reports whether plain bit-fix (no word-disable
+// fallback) covers the fault map: every data frame must have at most
+// BitFixRepairsPerFrame defective words. This is the yield criterion
+// behind the paper's "reduce Vccmin to 500mV" for bit-fix.
+func CoverableBitFix(fm *faultmap.Map) bool {
+	return everyFrame(fm, l1cfg.Ways-1, func(s, w int) bool {
+		return bits.OnesCount8(wayMask(fm, s, w)) <= BitFixRepairsPerFrame
+	})
 }
 
 // Name implements core.DataCache/core.InstrCache.
-func (s *SimpleWdis) Name() string { return s.name }
+func (c *WordDisable) Name() string { return c.name }
 
-// HitLatency implements core.DataCache/core.InstrCache: zero overhead.
-func (s *SimpleWdis) HitLatency() int { return s.m.cfg.HitLatency }
+// HitLatency implements core.DataCache/core.InstrCache.
+func (c *WordDisable) HitLatency() int { return c.lat }
 
 // Stats returns the scheme's counters.
-func (s *SimpleWdis) Stats() WdisStats { return s.stats }
+func (c *WordDisable) Stats() WdisStats { return c.stats }
 
 // Read implements core.DataCache.
-func (s *SimpleWdis) Read(addr uint64) core.AccessOutcome {
-	s.stats.Accesses++
-	r := s.m.access(addr, true)
-	switch {
-	case r.tagHit && r.wordOK:
-		s.stats.Hits++
-		return core.HitOutcome(s.HitLatency())
-	case !r.tagHit:
-		s.stats.TagMisses++
-		if !r.wordOK {
-			s.stats.DefectMisses++
-		}
-		return core.MissOutcome(s.HitLatency(), s.next, addr)
-	default:
-		// Tag hit on a defective word entry: always an L2 trip.
-		s.stats.DefectMisses++
-		return core.MissOutcome(s.HitLatency(), s.next, addr)
+func (c *WordDisable) Read(addr uint64) core.AccessOutcome {
+	c.stats.Accesses++
+	tagHit, wordOK := c.m.access(addr, true)
+	if tagHit && wordOK {
+		c.stats.Hits++
+		return core.HitOutcome(c.lat)
 	}
+	if !tagHit {
+		c.stats.TagMisses++
+	}
+	if !wordOK {
+		c.stats.DefectMisses++
+	}
+	return core.MissOutcome(c.lat, c.next, addr)
 }
 
 // Write implements core.DataCache: write-through, no write allocate.
-func (s *SimpleWdis) Write(addr uint64) core.AccessOutcome {
-	s.next.WriteWord(addr)
-	r := s.m.access(addr, false)
-	if r.tagHit && r.wordOK {
-		return core.HitOutcome(s.HitLatency())
+func (c *WordDisable) Write(addr uint64) core.AccessOutcome {
+	c.next.WriteWord(addr)
+	if tagHit, wordOK := c.m.access(addr, false); tagHit && wordOK {
+		return core.HitOutcome(c.lat)
 	}
-	return core.AccessOutcome{Latency: s.HitLatency()}
+	return core.AccessOutcome{Latency: c.lat}
 }
 
 // Fetch implements core.InstrCache.
-func (s *SimpleWdis) Fetch(addr uint64) core.AccessOutcome { return s.Read(addr) }
-
-// errNilNext is shared by scheme constructors.
-var errNilNext = errNilNextLevel{}
-
-type errNilNextLevel struct{}
-
-func (errNilNextLevel) Error() string { return "schemes: nil next level" }
-
-// WordEntryDefective reports whether the physical entry that addr maps to
-// in frame (set, way) coordinates is defective — a helper for tests and
-// the yield analysis.
-func WordEntryDefective(fm *faultmap.Map, cfg cache.Config, addr uint64, way int) bool {
-	set := cfg.Index(addr)
-	return fm.Defective(cfg.FrameWordIndex(set, way, cache.WordInBlock(addr)))
-}
+func (c *WordDisable) Fetch(addr uint64) core.AccessOutcome { return c.Read(addr) }
