@@ -61,7 +61,7 @@ func main() {
 	icfg := cache.L1Config("L1I")
 	fm := faultmap.New(icfg.Words())
 	for _, pos := range []int{2, 3, 11, 12, 13, 30} {
-		fm.SetDefective(icfg.DMImageWordIndex(pos), true)
+		fm.SetDefective(icfg.Geometry().DMImageWordIndex(pos), true)
 	}
 	fmt.Printf("\nfault map: defective image positions 2,3 11-13 30; chunks: [0,2) [4,11) [14,30) [31,...)\n")
 

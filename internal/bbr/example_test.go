@@ -34,7 +34,7 @@ func ExampleLink() {
 	cfg := cache.L1Config("L1I")
 	fm := faultmap.New(cfg.Words())
 	for i := 2; i <= 5; i++ {
-		fm.SetDefective(cfg.DMImageWordIndex(i), true)
+		fm.SetDefective(cfg.Geometry().DMImageWordIndex(i), true)
 	}
 	p := &program.Program{Blocks: []program.BasicBlock{
 		{Size: 2, Term: program.TermJump, Target: 1, Kinds: []program.InstrKind{program.KindALU, program.KindBranch}},

@@ -93,7 +93,8 @@ func (ic *ICache) DisabledFrames() int { return ic.c.DisabledFrames() }
 // next level for the rest of the run (capacity degradation).
 func (ic *ICache) Fetch(addr uint64) core.AccessOutcome {
 	// Invariant: the fetched word's physical location must be fault-free.
-	if ic.fm.Defective(ic.geo.DMImageWordIndex(ic.geo.ImagePos(addr))) {
+	phys := ic.geo.DMImageWordIndex(ic.geo.ImagePos(addr))
+	if ic.fm.Defective(phys) {
 		ic.DefectiveFetches++
 	}
 	if ic.inj != nil {
@@ -105,14 +106,12 @@ func (ic *ICache) Fetch(addr uint64) core.AccessOutcome {
 		return core.MissOutcome(ic.HitLatency(), ic.next, addr)
 	}
 	if ic.inj != nil {
-		set, way := ic.geo.Index(addr), ic.geo.DMWay(addr)
-		phys := ic.geo.FrameWordIndex(set, way, cache.WordInBlock(addr))
 		switch {
 		case ic.inj.PermanentWord(phys):
 			ic.fstats.Detected++
 			ic.fstats.Uncorrected++
 			ic.fstats.DisabledLines++
-			ic.c.DisableFrame(set, way)
+			ic.c.DisableFrame(phys / cache.WordsPerBlock)
 			out := core.MissOutcome(ic.HitLatency(), ic.next, addr)
 			ic.fstats.RecoveryCycles += uint64(out.Latency - ic.HitLatency())
 			return out

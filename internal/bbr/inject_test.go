@@ -103,9 +103,10 @@ func TestFetchPermanentDisablesFrame(t *testing.T) {
 	}
 	// A disabled slot never hits again.
 	cfg := ic.c.Config()
+	g := cfg.Geometry()
 	for addr := uint64(0); addr < 256*4; addr += cache.BlockBytes {
-		set, way := cfg.Index(addr), cfg.DMWay(addr)
-		if !ic.c.FrameDisabled(set, way) {
+		set, way := g.Index(addr), g.DMWay(addr)
+		if !ic.c.FrameDisabled(set*cfg.Ways + way) {
 			continue
 		}
 		if out := ic.Fetch(addr); out.Hit {

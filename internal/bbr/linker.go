@@ -57,7 +57,7 @@ func Link(p *program.Program, fm *faultmap.Map, baseAddr uint64) (*Placement, er
 	// length of the fault-free run starting there, allowing a single wrap
 	// around the cache boundary (capped at csize). runs[i] == 0 iff image
 	// position i is defective. The image is a permutation of the physical
-	// word array (see cache.Config.DMImageWordIndex).
+	// word array (see cache.Geometry.DMImageWordIndex).
 	runs := runLengthsWithWrap(csize, func(i int) bool {
 		return fm.Defective(geo.DMImageWordIndex(i))
 	})

@@ -90,7 +90,7 @@ func TestLinkMatchesFirstFitSemantics(t *testing.T) {
 	// Make image positions 2..5 defective: first chunk is [0,2), then
 	// [6, ...).
 	for i := 2; i <= 5; i++ {
-		fm.SetDefective(cfg.DMImageWordIndex(i), true)
+		fm.SetDefective(cfg.Geometry().DMImageWordIndex(i), true)
 	}
 	p := &program.Program{Blocks: []program.BasicBlock{
 		{Size: 2, Term: program.TermJump, Target: 1, Kinds: []program.InstrKind{program.KindALU, program.KindBranch}},
@@ -132,7 +132,7 @@ func TestLinkUnplaceable(t *testing.T) {
 	fm := faultmap.New(icacheWords)
 	cfg := cache.L1Config("L1I")
 	for i := 0; i < icacheWords; i += 4 {
-		fm.SetDefective(cfg.DMImageWordIndex(i), true)
+		fm.SetDefective(cfg.Geometry().DMImageWordIndex(i), true)
 	}
 	p := &program.Program{Blocks: []program.BasicBlock{
 		{Size: 5, Term: program.TermExit, Kinds: make([]program.InstrKind, 5)},
@@ -295,7 +295,7 @@ func TestLinkBestFitUnplaceable(t *testing.T) {
 	fm := faultmap.New(icacheWords)
 	cfg := cache.L1Config("L1I")
 	for i := 0; i < icacheWords; i += 4 {
-		fm.SetDefective(cfg.DMImageWordIndex(i), true)
+		fm.SetDefective(cfg.Geometry().DMImageWordIndex(i), true)
 	}
 	p := &program.Program{Blocks: []program.BasicBlock{
 		{Size: 5, Term: program.TermExit, Kinds: make([]program.InstrKind, 5)},

@@ -1,13 +1,22 @@
-// Package cache implements the generic set-associative cache simulator
-// that underlies every scheme in the paper: address/geometry arithmetic,
-// true-LRU replacement, write-through and write-back policies, and the
-// dynamic set-associative ↔ direct-mapped mode switch (DAC-style [27])
-// that BBR's instruction cache uses in low-voltage mode.
+// Package cache implements the set-associative tag array that underlies
+// every cache model in the paper: address/geometry arithmetic, true-LRU
+// replacement (tree pseudo-LRU and FIFO for the replacement ablation),
+// write-through and write-back policies, and the dynamic set-associative
+// ↔ direct-mapped mode switch (DAC-style [27]) that BBR's instruction
+// cache uses in low-voltage mode.
 //
-// The simulator tracks tags and replacement state only; data payloads are
-// modelled where a scheme needs them (package ffw stores real bytes to
-// verify word remapping end-to-end). All caches are physically indexed
-// and word-addressed per the paper: 4 B words, 32 B blocks.
+// It is the only tag array in the repository. Frames are numbered
+// set-major (frame = set*Ways + way); each carries a fault mask of its
+// defective word entries and can be taken out of service, and both
+// survive every flush and invalidation. The L1 schemes are built on it:
+// the word-disable caches program the masks and call Lookup, FFW keeps
+// its window patterns beside the frames and drives them through Find,
+// Victim, Fill and Touch, and BBR disables frames that go bad at
+// runtime. The simulator tracks tags and replacement state only; data
+// payloads are modelled where a scheme needs them (package ffw stores
+// real bytes to verify word remapping end-to-end). All caches are
+// physically indexed and word-addressed per the paper: 4 B words, 32 B
+// blocks.
 package cache
 
 import (
@@ -169,40 +178,6 @@ func WordInBlock(addr uint64) int { return int(addr>>wordShift) & wordInBlockMsk
 // WordAddr returns the global word number of a byte address.
 func WordAddr(addr uint64) uint64 { return addr >> wordShift }
 
-// Index returns the set index of addr.
-func (c Config) Index(addr uint64) int { return c.Geometry().Index(addr) }
-
-// Tag returns the tag of addr.
-func (c Config) Tag(addr uint64) uint64 { return c.Geometry().Tag(addr) }
-
-// DMWay returns the way that the least-significant tag bits select in
-// direct-mapped mode.
-func (c Config) DMWay(addr uint64) int { return c.Geometry().DMWay(addr) }
-
-// DMSlot returns the unique direct-mapped frame number (0..Blocks()-1)
-// that addr maps to in direct-mapped mode. Software (the BBR linker)
-// controls placement through this mapping: slot = block address mod
-// number of frames.
-func (c Config) DMSlot(addr uint64) int {
-	return int(BlockAddr(addr) % uint64(c.Blocks()))
-}
-
-// FrameWordIndex returns the index into the cache's physical word array
-// (and fault map) of word `word` of the frame at (set, way). Frames are
-// laid out set-major: frame = set*Ways + way.
-func (c Config) FrameWordIndex(set, way, word int) int {
-	return c.Geometry().FrameWordIndex(set, way, word)
-}
-
-// DMImageWordIndex maps a position in the direct-mapped linear image of
-// the cache (word i of the image, i in [0, Words())) to the physical word
-// index in FrameWordIndex coordinates. In direct-mapped mode a block
-// address B occupies image slot B mod Blocks(), whose physical frame is
-// (set = slot mod Sets(), way = slot / Sets()); the BBR linker scans the
-// image linearly, so it needs this permutation to consult the physical
-// fault map.
-func (c Config) DMImageWordIndex(i int) int { return c.Geometry().DMImageWordIndex(i) }
-
 // Geometry is a configuration's address arithmetic with every constant
 // precomputed: the per-access layers build one when they are constructed
 // and never divide by the set count again. Validate requires a
@@ -251,14 +226,20 @@ func (g Geometry) DMWay(addr uint64) int {
 	return int(g.Tag(addr) % uint64(g.ways))
 }
 
-// FrameWordIndex returns the physical word index of word `word` of the
-// frame at (set, way); see Config.FrameWordIndex.
+// FrameWordIndex returns the index into the cache's physical word array
+// (and fault map) of word `word` of the frame at (set, way). Frames are
+// laid out set-major: frame = set*Ways + way.
 func (g Geometry) FrameWordIndex(set, way, word int) int {
 	return (set*g.ways+way)*WordsPerBlock + word
 }
 
-// DMImageWordIndex maps direct-mapped image position i to its physical
-// word index; see Config.DMImageWordIndex.
+// DMImageWordIndex maps a position in the direct-mapped linear image of
+// the cache (word i of the image, i in [0, Words())) to the physical word
+// index in FrameWordIndex coordinates. In direct-mapped mode a block
+// address B occupies image slot B mod Blocks(), whose physical frame is
+// (set = slot mod Sets(), way = slot / Sets()); the BBR linker scans the
+// image linearly, so it needs this permutation to consult the physical
+// fault map.
 func (g Geometry) DMImageWordIndex(i int) int {
 	slot := i / WordsPerBlock
 	word := i % WordsPerBlock
@@ -307,20 +288,26 @@ func (s Stats) HitRate() float64 {
 	return float64(s.ReadHits+s.WriteHits) / float64(a)
 }
 
+// line is one frame: its tag state plus the fault mask of the word
+// entries it supplies. The mask belongs to the hardware, not to the
+// block held, so every state change keeps it.
 type line struct {
 	tag      uint64
+	lru      uint64 // larger = more recently used
 	valid    bool
 	dirty    bool
-	disabled bool   // frame out of service; never holds data again
-	lru      uint64 // larger = more recently used
+	disabled bool  // frame out of service; never holds data again
+	fault    uint8 // bit e set = word entry e defective
 }
 
-// Cache is a tag-array simulator for one cache level.
+// Cache is a tag-array simulator for one cache level. Its frames are
+// numbered set-major, frame = set*Ways + way, and each carries a fault
+// mask that the fault-tolerant L1 schemes program and read.
 type Cache struct {
 	cfg   Config
 	geo   Geometry
 	mode  Mode
-	sets  [][]line
+	lines []line   // Sets() x Ways, set-major
 	plru  []uint32 // per-set tree bits (ReplacePLRU)
 	fifo  []uint32 // per-set next-victim pointer (ReplaceFIFO)
 	stats Stats
@@ -332,12 +319,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := make([][]line, cfg.Sets())
-	lines := make([]line, cfg.Blocks())
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
-	c := &Cache{cfg: cfg, geo: cfg.Geometry(), sets: sets}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), lines: make([]line, cfg.Blocks())}
 	switch cfg.Replacement {
 	case ReplacePLRU:
 		c.plru = make([]uint32, cfg.Sets())
@@ -388,126 +370,174 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // transition; write-back callers needing the dirty lines should drain via
 // Stats before flushing — the simulator does not model flush-writeback
 // traffic because mode switches are rare enough to be ignorable (§IV-B).
+// Disabled frames and fault masks model the hardware and survive.
 func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				c.stats.Invalidates++
-			}
-			// Disabled frames model hardware degradation and stay out of
-			// service across flushes.
-			c.sets[si][wi] = line{disabled: c.sets[si][wi].disabled}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid {
+			c.stats.Invalidates++
 		}
+		*l = line{disabled: l.disabled, fault: l.fault}
 	}
 }
 
-// DisableFrame takes the frame at (set, way) permanently out of service:
-// the resident block, if any, is invalidated and the frame is never
-// filled again (capacity degradation from an unrecoverable fault).
-// Out-of-range coordinates and already-disabled frames are no-ops.
-func (c *Cache) DisableFrame(set, way int) {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
+// DisableFrame takes frame permanently out of service: the resident
+// block, if any, is invalidated and the frame is never filled again
+// (capacity degradation from an unrecoverable fault). The fault mask is
+// kept. Out-of-range and already-disabled frames are no-ops.
+func (c *Cache) DisableFrame(frame int) {
+	if frame < 0 || frame >= len(c.lines) || c.lines[frame].disabled {
 		return
 	}
-	l := &c.sets[set][way]
-	if l.disabled {
-		return
-	}
+	l := &c.lines[frame]
 	if l.valid {
 		c.stats.Invalidates++
 	}
-	*l = line{disabled: true}
+	*l = line{disabled: true, fault: l.fault}
 	c.stats.Disables++
 }
 
-// FrameDisabled reports whether the frame at (set, way) is out of
-// service.
-func (c *Cache) FrameDisabled(set, way int) bool {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
-		return false
-	}
-	return c.sets[set][way].disabled
+// FrameDisabled reports whether frame is out of service.
+func (c *Cache) FrameDisabled(frame int) bool {
+	return frame >= 0 && frame < len(c.lines) && c.lines[frame].disabled
 }
 
 // DisabledFrames returns the number of frames currently out of service.
 func (c *Cache) DisabledFrames() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].disabled {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].disabled {
+			n++
 		}
 	}
 	return n
 }
 
-// lookup returns the set and hit way (or -1).
-func (c *Cache) lookup(addr uint64) (set int, way int) {
-	set = c.geo.Index(addr)
-	tag := c.geo.Tag(addr)
+// Fault returns frame's fault mask: bit e set = word entry e defective.
+func (c *Cache) Fault(frame int) uint8 { return c.lines[frame].fault }
+
+// SetFault programs frame's fault mask.
+func (c *Cache) SetFault(frame int, mask uint8) { c.lines[frame].fault = mask }
+
+// frames returns the first frame number and the frames that can hold
+// addr's block: its set, or in direct-mapped mode the one frame of the
+// set that the least-significant tag bits select.
+func (c *Cache) frames(addr uint64) (int, []line) {
+	base := c.geo.Index(addr) * c.cfg.Ways
 	if c.mode == DirectMapped {
-		w := c.geo.DMWay(addr)
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
-			return set, w
-		}
-		return set, -1
+		base += c.geo.DMWay(addr)
+		return base, c.lines[base : base+1]
 	}
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
-			return set, w
+	return base, c.lines[base : base+c.cfg.Ways]
+}
+
+// lookup returns the index in set of the valid line holding tag, or -1.
+func lookup(set []line, tag uint64) int {
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return i
 		}
 	}
-	return set, -1
+	return -1
+}
+
+// victim returns the index in set of its first invalid in-service line,
+// else of its least recently used in-service line, or -1 when every
+// line is disabled.
+func victim(set []line) int {
+	best, bestLRU := -1, ^uint64(0)
+	for i := range set {
+		switch l := &set[i]; {
+		case l.disabled:
+		case !l.valid:
+			return i
+		case l.lru < bestLRU:
+			best, bestLRU = i, l.lru
+		}
+	}
+	return best
+}
+
+// Find returns the frame holding addr's block, or -1, without disturbing
+// replacement state or statistics.
+func (c *Cache) Find(addr uint64) int {
+	base, set := c.frames(addr)
+	if i := lookup(set, c.geo.Tag(addr)); i >= 0 {
+		return base + i
+	}
+	return -1
 }
 
 // Probe reports whether addr is resident without disturbing replacement
 // state or statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	_, way := c.lookup(addr)
-	return way >= 0
+func (c *Cache) Probe(addr uint64) bool { return c.Find(addr) >= 0 }
+
+// Victim returns the frame a miss on addr fills, or -1 when none of its
+// candidate frames is in service (direct-mapped target disabled, or an
+// entire set out of service): the access is then served from below
+// without a fill. Under FIFO replacement it advances the set's pointer.
+func (c *Cache) Victim(addr uint64) int { return c.victim(c.frames(addr)) }
+
+// victim picks among set, whose first frame is base.
+func (c *Cache) victim(base int, set []line) int {
+	if c.cfg.Replacement != ReplaceLRU && len(set) > 1 {
+		return c.policyVictim(base, set)
+	}
+	if i := victim(set); i >= 0 {
+		return base + i
+	}
+	return -1
 }
 
-// victim selects the fill way for a miss on the given set, or -1 when
-// no frame is in service (direct-mapped target disabled, or an entire
-// set out of service): the access is then served from below without a
-// fill.
-func (c *Cache) victim(addr uint64, set int) int {
-	if c.mode == DirectMapped {
-		if w := c.geo.DMWay(addr); !c.sets[set][w].disabled {
-			return w
-		}
-		return -1
-	}
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; !l.disabled && !l.valid {
-			return w
+// policyVictim is the PLRU/FIFO victim choice: a free in-service frame,
+// else the policy's pick, stepped past disabled ways.
+func (c *Cache) policyVictim(base int, set []line) int {
+	for i := range set {
+		if !set[i].disabled && !set[i].valid {
+			return base + i
 		}
 	}
-	var v int
-	switch c.cfg.Replacement {
-	case ReplacePLRU:
-		v = c.plruVictim(set)
-	case ReplaceFIFO:
-		v = int(c.fifo[set]) % c.cfg.Ways
-		c.fifo[set]++
-	default:
-		best, bestLRU := -1, ^uint64(0)
-		for w := range c.sets[set] {
-			if l := &c.sets[set][w]; !l.disabled && l.lru < bestLRU {
-				best, bestLRU = w, l.lru
-			}
-		}
-		return best
+	s, v := base/len(set), 0
+	if c.plru != nil {
+		v = c.plruVictim(s)
+	} else {
+		v = int(c.fifo[s]) % len(set)
+		c.fifo[s]++
 	}
 	// PLRU/FIFO state is oblivious to disabled frames; deterministically
 	// redirect to the next in-service way.
-	for i := 0; i < c.cfg.Ways; i++ {
-		if w := (v + i) % c.cfg.Ways; !c.sets[set][w].disabled {
-			return w
+	for i := range set {
+		if w := (v + i) % len(set); !set[w].disabled {
+			return base + w
 		}
 	}
 	return -1
+}
+
+// Touch makes frame the most recently used of its set.
+func (c *Cache) Touch(frame int) {
+	c.tick++
+	c.touch(frame)
+}
+
+// Fill installs addr's block in frame (from Victim, or a frame whose
+// block is being replaced) as the most recently used, keeping the
+// frame's fault mask. It counts no statistics.
+func (c *Cache) Fill(frame int, addr uint64) {
+	c.tick++
+	c.fill(frame, c.geo.Tag(addr), false)
+}
+
+func (c *Cache) touch(frame int) {
+	c.lines[frame].lru = c.tick
+	if c.plru != nil {
+		c.plruTouch(frame)
+	}
+}
+
+func (c *Cache) fill(frame int, tag uint64, dirty bool) {
+	c.lines[frame] = line{tag: tag, valid: true, dirty: dirty, fault: c.lines[frame].fault}
+	c.touch(frame)
 }
 
 // plruVictim walks the tree toward the pseudo-least-recent way: at each
@@ -527,14 +557,16 @@ func (c *Cache) plruVictim(set int) int {
 	return lo
 }
 
-// plruTouch flips the tree bits along way's path to point away from it.
-func (c *Cache) plruTouch(set, way int) {
+// plruTouch flips the tree bits along frame's path to point away from
+// it.
+func (c *Cache) plruTouch(frame int) {
+	set, way := frame/c.cfg.Ways, frame%c.cfg.Ways
 	node, lo, span := 0, 0, c.cfg.Ways
 	bits := c.plru[set]
 	for span > 1 {
 		span /= 2
 		if way < lo+span {
-			bits |= 1 << uint(node) // way is in the left half: mark right older... point away
+			bits |= 1 << uint(node) // way is in the left half: point right
 			node = 2*node + 1
 		} else {
 			bits &^= 1 << uint(node)
@@ -567,36 +599,32 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	} else {
 		c.stats.Reads++
 	}
-	set, way := c.lookup(addr)
-	if way >= 0 {
-		l := &c.sets[set][way]
-		l.lru = c.tick
-		if c.plru != nil {
-			c.plruTouch(set, way)
-		}
+	base, set := c.frames(addr)
+	tag := c.geo.Tag(addr)
+	writeBack := c.cfg.WritePolicy == WriteBack
+	if i := lookup(set, tag); i >= 0 {
+		c.touch(base + i)
 		if write {
 			c.stats.WriteHits++
-			if c.cfg.WritePolicy == WriteBack {
-				l.dirty = true
+			if writeBack {
+				set[i].dirty = true
 			}
 		} else {
 			c.stats.ReadHits++
 		}
 		return Result{Hit: true}
 	}
-	// Miss.
-	if write && c.cfg.WritePolicy == WriteThrough {
+	if write && !writeBack {
 		// No-write-allocate: the store goes straight to the next level.
 		return Result{}
 	}
-	w := c.victim(addr, set)
-	if w < 0 {
+	f := c.victim(base, set)
+	if f < 0 {
 		// Every candidate frame is disabled: serve from below, no fill.
 		return Result{}
 	}
 	res := Result{Filled: true}
-	l := &c.sets[set][w]
-	if l.valid {
+	if l := &c.lines[f]; l.valid {
 		res.Evicted = true
 		c.stats.Evictions++
 		if l.dirty {
@@ -604,24 +632,44 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.stats.WriteBacks++
 		}
 	}
-	*l = line{tag: c.geo.Tag(addr), valid: true, lru: c.tick}
-	if c.plru != nil {
-		c.plruTouch(set, w)
-	}
-	if write && c.cfg.WritePolicy == WriteBack {
-		l.dirty = true
-	}
+	c.fill(f, tag, write) // a write that gets here is write-back
 	c.stats.Fills++
 	return res
 }
 
+// Lookup is one access to a fault-masked array (the word-disable L1s):
+// it finds addr's block and makes it the most recently used or, on a
+// miss with allocate, fills the victim frame, keeping that frame's
+// fault mask. A hit refreshes recency whether or not allocate is set. It
+// returns whether the tag hit and the fault mask of the frame hit or
+// filled, all ones when there is none. It counts no statistics.
+func (c *Cache) Lookup(addr uint64, allocate bool) (hit bool, fault uint8) {
+	c.tick++
+	base, set := c.frames(addr)
+	tag := c.geo.Tag(addr)
+	if i := lookup(set, tag); i >= 0 {
+		c.touch(base + i)
+		return true, set[i].fault
+	}
+	if !allocate {
+		return false, 0xFF
+	}
+	f := c.victim(base, set)
+	if f < 0 {
+		return false, 0xFF
+	}
+	c.fill(f, tag, false)
+	return false, c.lines[f].fault
+}
+
 // Invalidate drops addr's block if resident, returning whether it was.
+// The frame's fault mask is kept.
 func (c *Cache) Invalidate(addr uint64) bool {
-	set, way := c.lookup(addr)
-	if way < 0 {
+	f := c.Find(addr)
+	if f < 0 {
 		return false
 	}
-	c.sets[set][way] = line{}
+	c.lines[f] = line{fault: c.lines[f].fault}
 	c.stats.Invalidates++
 	return true
 }

@@ -27,7 +27,7 @@ func TestGeometryHelpers(t *testing.T) {
 }
 
 func TestAddressDecomposition(t *testing.T) {
-	cfg := L1Config("L1D")
+	g := L1Config("L1D").Geometry()
 	tests := []struct {
 		addr  uint64
 		block uint64
@@ -48,10 +48,10 @@ func TestAddressDecomposition(t *testing.T) {
 		if got := WordInBlock(tt.addr); got != tt.word {
 			t.Errorf("WordInBlock(%#x) = %d, want %d", tt.addr, got, tt.word)
 		}
-		if got := cfg.Index(tt.addr); got != tt.set {
+		if got := g.Index(tt.addr); got != tt.set {
 			t.Errorf("Index(%#x) = %d, want %d", tt.addr, got, tt.set)
 		}
-		if got := cfg.Tag(tt.addr); got != tt.tag {
+		if got := g.Tag(tt.addr); got != tt.tag {
 			t.Errorf("Tag(%#x) = %d, want %d", tt.addr, got, tt.tag)
 		}
 	}
@@ -59,8 +59,9 @@ func TestAddressDecomposition(t *testing.T) {
 
 func TestAddressRoundTripProperty(t *testing.T) {
 	cfg := L1Config("L1")
+	g := cfg.Geometry()
 	f := func(addr uint64) bool {
-		set, tag := cfg.Index(addr), cfg.Tag(addr)
+		set, tag := g.Index(addr), g.Tag(addr)
 		// Reconstruct the block address from (tag, set).
 		block := tag*uint64(cfg.Sets()) + uint64(set)
 		return block == BlockAddr(addr) && set >= 0 && set < cfg.Sets()
@@ -252,11 +253,12 @@ func TestDirectMappedMode(t *testing.T) {
 func TestDMSlotBijectionProperty(t *testing.T) {
 	// In DM mode, (set, DMWay) must be a bijection of block mod Blocks().
 	cfg := L1Config("L1I")
+	g := cfg.Geometry()
 	f := func(blockRaw uint32) bool {
 		block := uint64(blockRaw)
 		addr := block * BlockBytes
-		slot := cfg.DMSlot(addr)
-		set, way := cfg.Index(addr), cfg.DMWay(addr)
+		slot := int(BlockAddr(addr) % uint64(cfg.Blocks()))
+		set, way := g.Index(addr), g.DMWay(addr)
 		return slot == int(block)%cfg.Blocks() && set == slot%cfg.Sets() && way == slot/cfg.Sets()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -281,16 +283,17 @@ func TestSetModeFlushes(t *testing.T) {
 
 func TestFrameWordIndex(t *testing.T) {
 	cfg := L1Config("L1D")
-	if got := cfg.FrameWordIndex(0, 0, 0); got != 0 {
+	g := cfg.Geometry()
+	if got := g.FrameWordIndex(0, 0, 0); got != 0 {
 		t.Errorf("FrameWordIndex(0,0,0) = %d", got)
 	}
-	if got := cfg.FrameWordIndex(0, 1, 0); got != 8 {
+	if got := g.FrameWordIndex(0, 1, 0); got != 8 {
 		t.Errorf("FrameWordIndex(0,1,0) = %d, want 8", got)
 	}
-	if got := cfg.FrameWordIndex(1, 0, 3); got != 4*8+3 {
+	if got := g.FrameWordIndex(1, 0, 3); got != 4*8+3 {
 		t.Errorf("FrameWordIndex(1,0,3) = %d, want 35", got)
 	}
-	last := cfg.FrameWordIndex(cfg.Sets()-1, cfg.Ways-1, WordsPerBlock-1)
+	last := g.FrameWordIndex(cfg.Sets()-1, cfg.Ways-1, WordsPerBlock-1)
 	if last != cfg.Words()-1 {
 		t.Errorf("last frame word = %d, want %d", last, cfg.Words()-1)
 	}
@@ -497,8 +500,8 @@ func TestGeometryMatchesDivision(t *testing.T) {
 			if got := g.DMImageWordIndex(pos); got != want {
 				t.Fatalf("%s: DMImageWordIndex(%d) = %d, want %d", cfg.Name, pos, got, want)
 			}
-			if cfg.Index(addr) != set || cfg.Tag(addr) != tag || cfg.DMWay(addr) != way || cfg.DMImageWordIndex(pos) != want {
-				t.Fatalf("%s: Config delegates disagree with Geometry at %#x/%d", cfg.Name, addr, pos)
+			if cg := cfg.Geometry(); cg.Index(addr) != set || cg.Tag(addr) != tag || cg.DMWay(addr) != way || cg.DMImageWordIndex(pos) != want {
+				t.Fatalf("%s: a fresh Config.Geometry disagrees with the hoisted one at %#x/%d", cfg.Name, addr, pos)
 			}
 		}
 	}

@@ -13,8 +13,8 @@ func TestDisableFrameBasics(t *testing.T) {
 		t.Fatal("new cache has disabled frames")
 	}
 	c.Access(0, false) // fill set 0
-	c.DisableFrame(0, 0)
-	if !c.FrameDisabled(0, 0) || c.DisabledFrames() != 1 {
+	c.DisableFrame(0)
+	if !c.FrameDisabled(0) || c.DisabledFrames() != 1 {
 		t.Fatal("frame not disabled")
 	}
 	if c.Probe(0) {
@@ -24,21 +24,21 @@ func TestDisableFrameBasics(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 disable + 1 invalidate", s)
 	}
 	// Idempotent; out-of-range is a no-op.
-	c.DisableFrame(0, 0)
-	c.DisableFrame(-1, 0)
-	c.DisableFrame(0, 99)
+	c.DisableFrame(0)
+	c.DisableFrame(-1)
+	c.DisableFrame(99)
 	if s := c.Stats(); s.Disables != 1 {
 		t.Fatalf("re-disable counted: %+v", s)
 	}
-	if c.FrameDisabled(99, 0) || c.FrameDisabled(0, -1) {
+	if c.FrameDisabled(99) || c.FrameDisabled(-1) {
 		t.Fatal("out-of-range frame reported disabled")
 	}
 }
 
 func TestDisabledFrameNeverRefills(t *testing.T) {
 	c := MustNew(smallCfg())
-	c.DisableFrame(0, 0)
-	c.DisableFrame(0, 1)
+	c.DisableFrame(0) // set 0, way 0
+	c.DisableFrame(1) // set 0, way 1
 	// Set 0 fully out of service: every access misses without a fill.
 	for i := 0; i < 10; i++ {
 		addr := uint64(i) * uint64(c.cfg.Sets()) * BlockBytes // all map to set 0
@@ -57,7 +57,7 @@ func TestDisabledFrameNeverRefills(t *testing.T) {
 
 func TestVictimSkipsDisabledWay(t *testing.T) {
 	c := MustNew(smallCfg())
-	c.DisableFrame(1, 0)
+	c.DisableFrame(2) // set 1, way 0
 	setStride := uint64(c.cfg.Sets()) * BlockBytes
 	// Three distinct blocks into set 1: all must funnel through way 1.
 	for i := 0; i < 3; i++ {
@@ -78,8 +78,8 @@ func TestDirectMappedDisabledSlot(t *testing.T) {
 	c := MustNew(smallCfg())
 	c.SetMode(DirectMapped)
 	addr := uint64(0)
-	set, way := c.cfg.Index(addr), c.cfg.DMWay(addr)
-	c.DisableFrame(set, way)
+	g := c.cfg.Geometry()
+	c.DisableFrame(g.Index(addr)*c.cfg.Ways + g.DMWay(addr))
 	for i := 0; i < 3; i++ {
 		if res := c.Access(addr, false); res.Hit || res.Filled {
 			t.Fatalf("access %d to disabled DM slot: %+v", i, res)
@@ -89,13 +89,13 @@ func TestDirectMappedDisabledSlot(t *testing.T) {
 
 func TestFlushPreservesDisabled(t *testing.T) {
 	c := MustNew(smallCfg())
-	c.DisableFrame(2, 1)
+	c.DisableFrame(5) // set 2, way 1
 	c.Flush()
-	if !c.FrameDisabled(2, 1) {
+	if !c.FrameDisabled(5) {
 		t.Fatal("flush revived a disabled frame")
 	}
 	c.SetMode(DirectMapped) // mode switch flushes too
-	if !c.FrameDisabled(2, 1) {
+	if !c.FrameDisabled(5) {
 		t.Fatal("mode switch revived a disabled frame")
 	}
 }
@@ -105,14 +105,14 @@ func TestDisableWithPLRUAndFIFO(t *testing.T) {
 		cfg := smallCfg()
 		cfg.Replacement = rep
 		c := MustNew(cfg)
-		c.DisableFrame(0, 0)
+		c.DisableFrame(0)
 		setStride := uint64(c.cfg.Sets()) * BlockBytes
 		for i := 0; i < 4; i++ {
 			if res := c.Access(uint64(i)*setStride, false); !res.Filled {
 				t.Fatalf("%v: fill %d did not allocate around the disabled way", rep, i)
 			}
 		}
-		if c.FrameDisabled(0, 0) && c.Probe(0) && c.cfg.DMWay(0) == 0 {
+		if c.FrameDisabled(0) && c.Probe(0) && c.cfg.Geometry().DMWay(0) == 0 {
 			t.Fatalf("%v: block landed in the disabled way", rep)
 		}
 	}

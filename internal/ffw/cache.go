@@ -41,31 +41,25 @@ type Options struct {
 	Injector *inject.Injector
 }
 
-type line struct {
-	tag    uint64
-	valid  bool
-	lru    uint64
-	stored uint8 // StoredPattern: bit w set = logical word w in the window
-	fault  uint8 // FMAP entry: bit e set = physical word entry e defective
-	// wordAge holds per-word last-use ticks, used only by the scatter
-	// extension's LRU word replacement.
-	wordAge [WordsPerBlock]uint64
-}
-
 // Cache is an L1 data cache protected by fault-free windows. It
-// implements core.DataCache.
+// implements core.DataCache. Its tag array is a cache.Cache whose frame
+// fault masks are the FMAP; frames with no fault-free entry (k = 0) are
+// disabled ways.
 type Cache struct {
-	cfg  cache.Config
-	geo  cache.Geometry
+	tags cache.Cache
+	lat  int
 	next *core.NextLevel
 	opts Options
 	fm   *faultmap.Map    // manufacturing fault map (read-only)
 	inj  *inject.Injector // runtime fault layer (nil = static faults only)
 
-	sets    [][]line
-	data    []uint32          // physical data array (only populated when TrackData)
+	stored []uint8 // StoredPattern per frame: bit w set = logical word w in the window
+	// wordAge holds each frame's per-word last-use ticks, used only by
+	// the scatter extension's LRU word replacement (nil without Scatter).
+	wordAge [][WordsPerBlock]uint64
+	data    []uint32          // physical data array, frame*WordsPerBlock + entry (TrackData)
 	written map[uint64]uint32 // write-through image of stored words (TrackData)
-	tick    uint64
+	tick    uint64            // access clock: drives the injector and the word ages
 
 	stats  Stats
 	fstats inject.Stats // detection/recovery counters (injector attached)
@@ -93,18 +87,19 @@ func New(fm *faultmap.Map, next *core.NextLevel, opts Options) (*Cache, error) {
 	if next == nil {
 		return nil, fmt.Errorf("ffw: nil next level")
 	}
-	c := &Cache{cfg: cfg, geo: cfg.Geometry(), next: next, opts: opts, fm: fm, inj: opts.Injector}
-	c.sets = make([][]line, cfg.Sets())
-	lines := make([]line, cfg.Blocks())
-	for s := range c.sets {
-		c.sets[s], lines = lines[:cfg.Ways], lines[cfg.Ways:]
+	c := &Cache{
+		tags: *cache.MustNew(cfg), lat: cfg.HitLatency, next: next, opts: opts, fm: fm, inj: opts.Injector,
+		stored: make([]uint8, cfg.Blocks()),
 	}
 	// Load the FMAP array: per-frame fault pattern from the fault map.
-	for s := 0; s < cfg.Sets(); s++ {
-		for w := 0; w < cfg.Ways; w++ {
-			frame := s*cfg.Ways + w
-			c.sets[s][w].fault = fm.BlockMask(frame)
+	for f := range c.stored {
+		c.tags.SetFault(f, fm.BlockMask(f))
+		if FaultFreeEntries(fm.BlockMask(f)) == 0 {
+			c.tags.DisableFrame(f)
 		}
+	}
+	if opts.Scatter {
+		c.wordAge = make([][WordsPerBlock]uint64, cfg.Blocks())
 	}
 	if opts.TrackData {
 		c.data = make([]uint32, cfg.Words())
@@ -138,7 +133,7 @@ func (c *Cache) Name() string { return "FFW" }
 // HitLatency implements core.DataCache: FFW adds zero cycles to the hit
 // path (Figure 9 — the pattern lookup is shorter than the data array's
 // row-to-column-MUX path).
-func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
+func (c *Cache) HitLatency() int { return c.lat }
 
 // Stats returns the FFW event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -156,89 +151,71 @@ func (c *Cache) FaultStats() inject.Stats {
 
 // StoredPattern returns the stored pattern of frame (set, way), for
 // inspection in tests and reports.
-func (c *Cache) StoredPattern(set, way int) uint8 { return c.sets[set][way].stored }
+func (c *Cache) StoredPattern(set, way int) uint8 { return c.stored[set*c.tags.Config().Ways+way] }
 
 // FaultPattern returns the FMAP entry of frame (set, way).
-func (c *Cache) FaultPattern(set, way int) uint8 { return c.sets[set][way].fault }
+func (c *Cache) FaultPattern(set, way int) uint8 { return c.tags.Fault(set*c.tags.Config().Ways + way) }
 
-// lookup returns the hitting way or -1.
-func (c *Cache) lookup(addr uint64) (set, way int) {
-	set = c.geo.Index(addr)
-	tag := c.geo.Tag(addr)
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
-			return set, w
-		}
+// holds reports whether frame f (-1 for none) holds logical word w in
+// its window.
+func (c *Cache) holds(f, w int) bool { return f >= 0 && c.stored[f]&(1<<uint(w)) != 0 }
+
+// entry returns the physical word index (FrameWordIndex coordinates)
+// that logical word w of frame f is remapped to.
+func (c *Cache) entry(f, w int) int { return f*WordsPerBlock + Remap(c.stored[f], c.tags.Fault(f), w) }
+
+// use makes word w of frame f the most recently used.
+func (c *Cache) use(f, w int) {
+	c.tags.Touch(f)
+	if c.wordAge != nil {
+		c.wordAge[f][w] = c.tick
 	}
-	return set, -1
 }
 
-// victim picks the refill way: an invalid frame, else LRU among frames
-// with at least one fault-free entry. Frames with k = 0 are effectively
-// disabled ways; if every way is disabled the access is served without
-// allocation.
-func (c *Cache) victim(set int) int {
-	best, bestLRU := -1, ^uint64(0)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
-		if FaultFreeEntries(l.fault) == 0 {
-			continue
-		}
-		if !l.valid {
-			return w
-		}
-		if l.lru < bestLRU {
-			best, bestLRU = w, l.lru
-		}
-	}
-	return best
-}
-
-// refill installs a window covering the requested word into frame
-// (set, way), scattering the window's words into fault-free entries.
-// sameBlock reports a window miss on a resident block (tag hit): the
-// scatter extension then swaps a single word instead of repositioning
-// the whole window.
-func (c *Cache) refill(set, way int, addr uint64, sameBlock bool) {
-	l := &c.sets[set][way]
-	k := FaultFreeEntries(l.fault)
+// refill installs a window covering the requested word into frame f,
+// scattering the window's words into fault-free entries. sameBlock
+// reports a window miss on a resident block (tag hit): the scatter
+// extension then swaps a single word instead of repositioning the whole
+// window.
+func (c *Cache) refill(f int, addr uint64, sameBlock bool) {
 	word := cache.WordInBlock(addr)
-	if c.opts.Scatter && sameBlock && l.stored != 0 {
-		l.stored = SwapLRU(l.stored, word, &l.wordAge)
-		l.wordAge[word] = c.tick
-		l.lru = c.tick
-		c.stats.Refills++
+	c.stats.Refills++
+	if c.opts.Scatter && sameBlock && c.stored[f] != 0 {
+		c.stored[f] = SwapLRU(c.stored[f], word, &c.wordAge[f])
 	} else {
-		l.tag = c.geo.Tag(addr)
-		l.valid = true
-		l.lru = c.tick
-		l.stored = Window(k, word, c.opts.Placement)
-		l.wordAge = [WordsPerBlock]uint64{}
-		l.wordAge[word] = c.tick
-		c.stats.Refills++
+		c.tags.Fill(f, addr)
+		c.stored[f] = Window(FaultFreeEntries(c.tags.Fault(f)), word, c.opts.Placement)
+		if c.wordAge != nil {
+			c.wordAge[f] = [WordsPerBlock]uint64{}
+		}
 	}
+	c.use(f, word)
 	if c.data != nil {
 		base := cache.BlockAddr(addr) * cache.WordsPerBlock
 		for w := 0; w < WordsPerBlock; w++ {
-			if l.stored&(1<<uint(w)) == 0 {
-				continue
+			if c.holds(f, w) {
+				c.data[c.entry(f, w)] = c.backingValue(base + uint64(w))
 			}
-			e := Remap(l.stored, l.fault, w)
-			c.data[c.geo.FrameWordIndex(set, way, e)] = c.backingValue(base + uint64(w))
 		}
 	}
 }
 
-// effectiveFault returns the frame's current fault pattern: the
+// effectiveFault returns frame f's current fault pattern: the
 // manufacturing map OR'd with any injected intermittent/permanent
 // faults. The manufacturing map itself is never mutated.
-func (c *Cache) effectiveFault(set, way int) uint8 {
-	frame := set*c.cfg.Ways + way
-	m := c.fm.BlockMask(frame)
+func (c *Cache) effectiveFault(f int) uint8 {
+	m := c.fm.BlockMask(f)
 	if c.inj != nil {
-		m |= c.inj.BlockMask(frame)
+		m |= c.inj.BlockMask(f)
 	}
 	return m
+}
+
+// disable takes frame f, left with no fault-free entry, out of service.
+func (c *Cache) disable(f int) {
+	c.tags.DisableFrame(f)
+	c.stored[f] = 0
+	c.fstats.DisabledLines++
 }
 
 // Read implements core.DataCache. A hit requires both a tag match and the
@@ -264,96 +241,83 @@ func (c *Cache) Read(addr uint64) core.AccessOutcome {
 		c.inj.Advance(c.tick)
 	}
 	c.stats.Reads++
-	set, way := c.lookup(addr)
-	word := cache.WordInBlock(addr)
-	if way >= 0 {
-		l := &c.sets[set][way]
-		if l.stored&(1<<uint(word)) != 0 {
-			if c.inj != nil {
-				e := Remap(l.stored, l.fault, word)
-				phys := c.geo.FrameWordIndex(set, way, e)
-				if sticky := c.inj.FaultyWord(phys); sticky || c.inj.TransientNow() {
-					return c.recoverHit(set, way, addr, sticky)
-				}
+	f, word := c.tags.Find(addr), cache.WordInBlock(addr)
+	if c.holds(f, word) {
+		if c.inj != nil {
+			if sticky := c.inj.FaultyWord(c.entry(f, word)); sticky || c.inj.TransientNow() {
+				return c.recoverHit(f, addr, sticky)
 			}
-			l.lru = c.tick
-			l.wordAge[word] = c.tick
-			c.stats.ReadHits++
-			return core.HitOutcome(c.cfg.HitLatency)
 		}
+		c.use(f, word)
+		c.stats.ReadHits++
+		return core.HitOutcome(c.lat)
+	}
+	out := core.MissOutcome(c.lat, c.next, addr)
+	if f >= 0 {
 		// Window miss: refill this frame, recentered.
 		c.stats.WindowMiss++
-		out := core.MissOutcome(c.cfg.HitLatency, c.next, addr)
-		c.refill(set, way, addr, true)
+		c.refill(f, addr, true)
 		return out
 	}
-	// Tag miss.
 	c.stats.TagMiss++
-	out := core.MissOutcome(c.cfg.HitLatency, c.next, addr)
-	c.allocate(set, addr)
+	c.allocate(addr)
 	return out
 }
 
 // allocate picks a victim frame and refills it, re-validating each
 // candidate's fault pattern against the injector first: a frame whose
 // effective pattern has no fault-free entries left is disabled and the
-// next victim tried. Bounded by the way count.
-func (c *Cache) allocate(set int, addr uint64) {
-	for range c.sets[set] {
-		v := c.victim(set)
-		if v < 0 {
+// next victim tried. Each retry disables a frame, so the loop ends
+// within the way count.
+func (c *Cache) allocate(addr uint64) {
+	for {
+		f := c.tags.Victim(addr)
+		if f < 0 {
 			c.stats.Disabled++
 			return
 		}
 		if c.inj != nil {
-			l := &c.sets[set][v]
-			if m := c.effectiveFault(set, v); m != l.fault {
-				l.fault = m
+			if m := c.effectiveFault(f); m != c.tags.Fault(f) {
+				c.tags.SetFault(f, m)
 				if FaultFreeEntries(m) == 0 {
-					l.valid = false
-					c.fstats.DisabledLines++
+					c.disable(f)
 					continue
 				}
 			}
 		}
-		c.refill(set, v, addr, false)
+		c.refill(f, addr, false)
 		return
 	}
-	c.stats.Disabled++
 }
 
-// recoverHit handles a detected fault on a window hit. sticky reports
-// whether the physical entry is under an intermittent/permanent fault
-// (as opposed to a one-access transient flip).
-func (c *Cache) recoverHit(set, way int, addr uint64, sticky bool) core.AccessOutcome {
+// recoverHit handles a detected fault on a window hit in frame f. sticky
+// reports whether the physical entry is under an intermittent/permanent
+// fault (as opposed to a one-access transient flip).
+func (c *Cache) recoverHit(f int, addr uint64, sticky bool) core.AccessOutcome {
 	c.fstats.Detected++
-	l := &c.sets[set][way]
 	if !sticky {
 		// Transient: the retry reads clean data — still a hit, one extra
 		// access of latency.
 		c.fstats.CorrectedRetry++
-		c.fstats.RecoveryCycles += uint64(c.cfg.HitLatency)
-		l.lru = c.tick
-		l.wordAge[cache.WordInBlock(addr)] = c.tick
+		c.fstats.RecoveryCycles += uint64(c.lat)
+		c.use(f, cache.WordInBlock(addr))
 		c.stats.ReadHits++
-		return core.HitOutcome(2 * c.cfg.HitLatency)
+		return core.HitOutcome(2 * c.lat)
 	}
 	// Sticky fault: refetch the block from below and rebuild the window
 	// over the surviving fault-free entries.
-	out := core.MissOutcome(c.cfg.HitLatency, c.next, addr)
-	c.fstats.RecoveryCycles += uint64(out.Latency - c.cfg.HitLatency)
-	mask := c.effectiveFault(set, way)
-	l.fault = mask
+	out := core.MissOutcome(c.lat, c.next, addr)
+	c.fstats.RecoveryCycles += uint64(out.Latency - c.lat)
+	mask := c.effectiveFault(f)
+	c.tags.SetFault(f, mask)
 	if FaultFreeEntries(mask) == 0 {
 		// Unrecoverable: take the frame out of service.
-		l.valid = false
-		l.stored = 0
 		c.fstats.Uncorrected++
-		c.fstats.DisabledLines++
+		c.disable(f)
 		return out
 	}
 	c.fstats.CorrectedRefetch++
-	c.refill(set, way, addr, false)
+	c.refill(f, addr, false)
 	return out
 }
 
@@ -365,15 +329,9 @@ func (c *Cache) ReadWord(addr uint64) (core.AccessOutcome, uint32) {
 		//lvlint:ignore nopanic documented API-misuse guard: calling a data-path method on a timing-only cache is a wiring bug
 		panic("ffw: ReadWord requires Options.TrackData")
 	}
-	set, way := c.lookup(addr)
-	word := cache.WordInBlock(addr)
 	var fromArray *uint32
-	if way >= 0 {
-		l := &c.sets[set][way]
-		if l.stored&(1<<uint(word)) != 0 {
-			e := Remap(l.stored, l.fault, word)
-			fromArray = &c.data[c.geo.FrameWordIndex(set, way, e)]
-		}
+	if f, word := c.tags.Find(addr), cache.WordInBlock(addr); c.holds(f, word) {
+		fromArray = &c.data[c.entry(f, word)]
 	}
 	out := c.Read(addr)
 	if fromArray != nil {
@@ -397,18 +355,12 @@ func (c *Cache) Write(addr uint64) core.AccessOutcome {
 	}
 	c.stats.Writes++
 	c.next.WriteWord(addr)
-	set, way := c.lookup(addr)
-	word := cache.WordInBlock(addr)
-	if way >= 0 {
-		l := &c.sets[set][way]
-		if l.stored&(1<<uint(word)) != 0 {
-			l.lru = c.tick
-			l.wordAge[word] = c.tick
-			c.stats.WriteHits++
-			return core.HitOutcome(c.cfg.HitLatency)
-		}
+	if f, word := c.tags.Find(addr), cache.WordInBlock(addr); c.holds(f, word) {
+		c.use(f, word)
+		c.stats.WriteHits++
+		return core.HitOutcome(c.lat)
 	}
-	return core.AccessOutcome{Latency: c.cfg.HitLatency}
+	return core.AccessOutcome{Latency: c.lat}
 }
 
 // WriteWord is Write with a data value, available when TrackData is set.
@@ -420,14 +372,8 @@ func (c *Cache) WriteWord(addr uint64, v uint32) core.AccessOutcome {
 		panic("ffw: WriteWord requires Options.TrackData")
 	}
 	c.written[cache.WordAddr(addr)] = v
-	set, way := c.lookup(addr)
-	word := cache.WordInBlock(addr)
-	if way >= 0 {
-		l := &c.sets[set][way]
-		if l.stored&(1<<uint(word)) != 0 {
-			e := Remap(l.stored, l.fault, word)
-			c.data[c.geo.FrameWordIndex(set, way, e)] = v
-		}
+	if f, word := c.tags.Find(addr), cache.WordInBlock(addr); c.holds(f, word) {
+		c.data[c.entry(f, word)] = v
 	}
 	return c.Write(addr)
 }

@@ -124,23 +124,24 @@ func TestRecoveredWindowAvoidsInjectedFaults(t *testing.T) {
 	if c.FaultStats().CorrectedRefetch == 0 {
 		t.Skip("no refetch recovery happened under this seed")
 	}
-	cfg := c.cfg
+	cfg := c.tags.Config()
 	for set := 0; set < cfg.Sets(); set++ {
 		for way := 0; way < cfg.Ways; way++ {
-			l := &c.sets[set][way]
-			if !l.valid || l.stored == 0 {
+			// Invalid and disabled frames store nothing.
+			stored, fault := c.StoredPattern(set, way), c.FaultPattern(set, way)
+			if stored == 0 {
 				continue
 			}
-			if n, k := bits.OnesCount8(l.stored), FaultFreeEntries(l.fault); n > k {
+			if n, k := bits.OnesCount8(stored), FaultFreeEntries(fault); n > k {
 				t.Fatalf("set %d way %d: %d stored words in %d fault-free entries", set, way, n, k)
 			}
 			for w := 0; w < WordsPerBlock; w++ {
-				if l.stored&(1<<uint(w)) == 0 {
+				if stored&(1<<uint(w)) == 0 {
 					continue
 				}
-				e := Remap(l.stored, l.fault, w)
-				if e < 0 || l.fault&(1<<uint(e)) != 0 {
-					t.Fatalf("set %d way %d: word %d remaps to defective entry %d (fault %08b)", set, way, w, e, l.fault)
+				e := Remap(stored, fault, w)
+				if e < 0 || fault&(1<<uint(e)) != 0 {
+					t.Fatalf("set %d way %d: word %d remaps to defective entry %d (fault %08b)", set, way, w, e, fault)
 				}
 			}
 		}

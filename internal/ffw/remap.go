@@ -16,6 +16,11 @@
 // The stored-pattern/fault-pattern lookup runs in parallel with the data
 // array and is shorter than the data array's row-to-column-MUX path
 // (Figure 9), so FFW adds zero cycles to the hit path.
+//
+// The tag array is a cache.Cache whose frame fault masks are the FMAP;
+// the stored patterns sit beside it, one per frame. Frames with no
+// fault-free entry are disabled ways, at construction and whenever the
+// runtime injector empties them.
 package ffw
 
 import (

@@ -55,8 +55,8 @@ func TestBitFixRepairsUpToBudget(t *testing.T) {
 	cfg := cache.L1Config("x")
 	fm := cleanMap()
 	// Frame (0,0): exactly 2 defective words -> fully repaired.
-	fm.SetDefective(cfg.FrameWordIndex(0, 0, 1), true)
-	fm.SetDefective(cfg.FrameWordIndex(0, 0, 5), true)
+	fm.SetDefective(cfg.Geometry().FrameWordIndex(0, 0, 1), true)
+	fm.SetDefective(cfg.Geometry().FrameWordIndex(0, 0, 5), true)
 	b, _ := NewBitFix(fm, next(t))
 	// Occupy only frame 0 (one block) and touch the repaired words.
 	b.Read(0x04)
@@ -75,7 +75,7 @@ func TestBitFixBudgetExceededActsLikeWdis(t *testing.T) {
 	// frame stays broken after the 2-word repair budget.
 	for w := 0; w < 3; w++ {
 		for _, word := range []int{1, 3, 6} {
-			fm.SetDefective(cfg.FrameWordIndex(0, w, word), true)
+			fm.SetDefective(cfg.Geometry().FrameWordIndex(0, w, word), true)
 		}
 	}
 	n := next(t)

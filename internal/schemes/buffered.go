@@ -3,7 +3,6 @@ package schemes
 import (
 	"container/list"
 	"errors"
-	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -20,7 +19,7 @@ import (
 type Buffered struct {
 	name string
 	lat  int
-	m    maskedCache
+	tags cache.Cache
 	next *core.NextLevel
 	buf  wordBuffer
 
@@ -51,14 +50,14 @@ type wordBuffer interface {
 }
 
 func newBuffered(name string, fm *faultmap.Map, next *core.NextLevel, buf wordBuffer) (*Buffered, error) {
-	m, err := newMaskedCache(fm, l1cfg.Ways, wayMask)
+	tags, err := newTags(fm, l1cfg.Ways, wayMask)
 	if err != nil {
 		return nil, err
 	}
 	if next == nil {
 		return nil, errNilNext
 	}
-	return &Buffered{name: name, lat: l1cfg.HitLatency + 1, m: m, next: next, buf: buf}, nil
+	return &Buffered{name: name, lat: l1cfg.HitLatency + 1, tags: tags, next: next, buf: buf}, nil
 }
 
 // NewFBA builds the Fault Buffer Array [2]: the buffer is fully
@@ -89,18 +88,15 @@ const IDCAssoc = 4
 // optimistic 1024 entries (IDC⁺). entries must be a power-of-two
 // multiple of IDCAssoc.
 func NewIDC(fm *faultmap.Map, next *core.NextLevel, entries int) (*Buffered, error) {
-	if entries < IDCAssoc {
-		return nil, errors.New("schemes: IDC needs >= one set of entries")
-	}
-	sets := entries / IDCAssoc
-	if sets*IDCAssoc != entries || bits.OnesCount(uint(sets)) != 1 {
-		return nil, errors.New("schemes: IDC entries must be a power-of-two multiple of the associativity")
-	}
 	name := "IDC"
 	if entries >= 1024 {
 		name = "IDC+"
 	}
-	return newBuffered(name, fm, next, &idcBuffer{sets: uint64(sets), lines: make([]mline, entries)})
+	buf, err := cache.New(cache.Config{Name: name, SizeBytes: entries * cache.BlockBytes, Ways: IDCAssoc, WritePolicy: cache.WriteThrough})
+	if err != nil {
+		return nil, err
+	}
+	return newBuffered(name, fm, next, idcBuffer{buf})
 }
 
 // Name implements core.DataCache/core.InstrCache.
@@ -118,11 +114,11 @@ func (c *Buffered) Entries() int { return c.buf.len() }
 // Read implements core.DataCache.
 func (c *Buffered) Read(addr uint64) core.AccessOutcome {
 	c.stats.Accesses++
-	tagHit, wordOK := c.m.access(addr, true)
+	tagHit, fault := c.tags.Lookup(addr, true)
 	if !tagHit {
 		c.stats.TagMisses++
 	}
-	if wordOK {
+	if wordOK(fault, addr) {
 		if tagHit {
 			c.stats.MainHits++
 			return core.HitOutcome(c.lat)
@@ -149,8 +145,8 @@ func (c *Buffered) Read(addr uint64) core.AccessOutcome {
 // on a write.
 func (c *Buffered) Write(addr uint64) core.AccessOutcome {
 	c.next.WriteWord(addr)
-	tagHit, wordOK := c.m.access(addr, false)
-	if tagHit && (wordOK || c.buf.hit(cache.WordAddr(addr))) {
+	tagHit, fault := c.tags.Lookup(addr, false)
+	if tagHit && (wordOK(fault, addr) || c.buf.hit(cache.WordAddr(addr))) {
 		return core.HitOutcome(c.lat)
 	}
 	return core.AccessOutcome{Latency: c.lat}
@@ -187,38 +183,23 @@ func (b *fbaBuffer) fill(wordAddr uint64) (evicted bool) {
 
 func (b *fbaBuffer) len() int { return len(b.entries) }
 
-// idcBuffer is the IDC's IDCAssoc-way auxiliary cache, indexed by word
-// address modulo its set count and tagged with the full word address.
-type idcBuffer struct {
-	sets  uint64
-	lines []mline // sets x IDCAssoc, set-major
-	tick  uint64
+// idcBuffer is the IDC's IDCAssoc-way auxiliary cache. Each entry holds
+// one word, so word address w is the buffer's block w: indexed by w
+// modulo the set count and tagged with the rest.
+type idcBuffer struct{ c *cache.Cache }
+
+func (b idcBuffer) hit(wordAddr uint64) bool {
+	hit, _ := b.c.Lookup(wordAddr*cache.BlockBytes, false)
+	return hit
 }
 
-func (b *idcBuffer) set(wordAddr uint64) []mline {
-	base := int(wordAddr%b.sets) * IDCAssoc
-	return b.lines[base : base+IDCAssoc]
+func (b idcBuffer) fill(wordAddr uint64) (evicted bool) {
+	return b.c.Access(wordAddr*cache.BlockBytes, false).Evicted
 }
 
-func (b *idcBuffer) hit(wordAddr uint64) bool {
-	b.tick++
-	return lookup(b.set(wordAddr), wordAddr, b.tick) != nil
-}
-
-func (b *idcBuffer) fill(wordAddr uint64) (evicted bool) {
-	b.tick++
-	l := victim(b.set(wordAddr))
-	evicted = l.valid
-	*l = mline{tag: wordAddr, valid: true, lru: b.tick}
-	return evicted
-}
-
-func (b *idcBuffer) len() int {
-	n := 0
-	for _, l := range b.lines {
-		if l.valid {
-			n++
-		}
-	}
-	return n
+// len counts the words held: the buffer is never invalidated, so every
+// fill that evicted nothing took a free entry.
+func (b idcBuffer) len() int {
+	s := b.c.Stats()
+	return int(s.Fills - s.Evictions)
 }

@@ -13,7 +13,10 @@
 // caches are Plain. The word-disable family is two types: WordDisable
 // (Simple-wdis, SECDED, Wilkerson+, Bit-fix), which sends every access
 // to a defective word entry to the L2, and Buffered (FBA, IDC), which
-// holds in-use defective words in a small side buffer.
+// holds in-use defective words in a small side buffer. Each keeps its
+// tags in a cache.Cache whose frames carry the word-disable fault masks:
+// the L1's 256 sets with 4 frames each, 2 for Wilkerson's paired lines or
+// 3 for Bit-fix's data ways. The IDC's buffer is a cache.Cache too.
 package schemes
 
 import (

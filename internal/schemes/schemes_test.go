@@ -88,7 +88,7 @@ func TestSimpleWdisDefectiveWordAlwaysMisses(t *testing.T) {
 	// 0, so address word 3 of set 0 can never be cached.
 	cfg := cache.L1Config("x")
 	for way := 0; way < 4; way++ {
-		fm.SetDefective(cfg.FrameWordIndex(0, way, 3), true)
+		fm.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 3), true)
 	}
 	n := next(t)
 	s, err := NewSimpleWdis(fm, n)
@@ -119,7 +119,7 @@ func TestSimpleWdisNeighbourWordsStillHit(t *testing.T) {
 	fm := cleanMap()
 	cfg := cache.L1Config("x")
 	for way := 0; way < 4; way++ {
-		fm.SetDefective(cfg.FrameWordIndex(0, way, 3), true)
+		fm.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 3), true)
 	}
 	s, _ := NewSimpleWdis(fm, next(t))
 	s.Read(0x0C) // word 3: defective; fills the line
@@ -163,7 +163,7 @@ func TestWilkersonSlotNeedsBothEntriesDefective(t *testing.T) {
 	cfg := cache.L1Config("x")
 	fm := cleanMap()
 	// Word 2 defective in frame (0,0) only: slot still usable via (0,1).
-	fm.SetDefective(cfg.FrameWordIndex(0, 0, 2), true)
+	fm.SetDefective(cfg.Geometry().FrameWordIndex(0, 0, 2), true)
 	w, _ := NewWilkersonPlus(fm, next(t))
 	addr := uint64(2 * 4)
 	w.Read(addr)
@@ -172,8 +172,8 @@ func TestWilkersonSlotNeedsBothEntriesDefective(t *testing.T) {
 	}
 	// Now both entries defective: slot dead, every access is an L2 trip.
 	fm2 := cleanMap()
-	fm2.SetDefective(cfg.FrameWordIndex(0, 0, 2), true)
-	fm2.SetDefective(cfg.FrameWordIndex(0, 1, 2), true)
+	fm2.SetDefective(cfg.Geometry().FrameWordIndex(0, 0, 2), true)
+	fm2.SetDefective(cfg.Geometry().FrameWordIndex(0, 1, 2), true)
 	n := next(t)
 	w2, _ := NewWilkersonPlus(fm2, n)
 	w2.Read(addr)
@@ -208,7 +208,7 @@ func TestFBADefectiveWordServedByBuffer(t *testing.T) {
 	cfg := cache.L1Config("x")
 	fm := cleanMap()
 	for way := 0; way < 4; way++ {
-		fm.SetDefective(cfg.FrameWordIndex(0, way, 5), true)
+		fm.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 5), true)
 	}
 	n := next(t)
 	f, err := NewFBA(fm, n, 64)
@@ -240,9 +240,9 @@ func TestFBAEvictsLRU(t *testing.T) {
 	addrs := []uint64{}
 	for i := 0; i < 3; i++ {
 		set := i
-		fm.SetDefective(cfg.FrameWordIndex(set, 0, 0), true)
+		fm.SetDefective(cfg.Geometry().FrameWordIndex(set, 0, 0), true)
 		for way := 1; way < 4; way++ {
-			fm.SetDefective(cfg.FrameWordIndex(set, way, 0), true)
+			fm.SetDefective(cfg.Geometry().FrameWordIndex(set, way, 0), true)
 		}
 		addrs = append(addrs, uint64(set*32))
 	}
@@ -283,7 +283,7 @@ func TestIDCBasics(t *testing.T) {
 	cfg := cache.L1Config("x")
 	fm := cleanMap()
 	for way := 0; way < 4; way++ {
-		fm.SetDefective(cfg.FrameWordIndex(0, way, 1), true)
+		fm.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 1), true)
 	}
 	n := next(t)
 	c, err := NewIDC(fm, n, 64)
@@ -326,7 +326,7 @@ func TestIDCConflictEviction(t *testing.T) {
 			continue
 		}
 		for way := 0; way < 4; way++ {
-			fm.SetDefective(cfg.FrameWordIndex(l1set, way, wordInBlock), true)
+			fm.SetDefective(cfg.Geometry().FrameWordIndex(l1set, way, wordInBlock), true)
 		}
 		addrs = append(addrs, wordAddr*4)
 	}
@@ -474,7 +474,7 @@ func TestWriteToBufferedDefectiveWord(t *testing.T) {
 	mk := func() *faultmap.Map {
 		fm := cleanMap()
 		for way := 0; way < 4; way++ {
-			fm.SetDefective(cfg.FrameWordIndex(0, way, 1), true)
+			fm.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 1), true)
 		}
 		return fm
 	}

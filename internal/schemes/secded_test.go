@@ -39,7 +39,7 @@ func TestSECDEDUncorrectableWordAlwaysMisses(t *testing.T) {
 	cfg := cache.L1Config("x")
 	mb := cleanMap()
 	for way := 0; way < 4; way++ {
-		mb.SetDefective(cfg.FrameWordIndex(0, way, 2), true)
+		mb.SetDefective(cfg.Geometry().FrameWordIndex(0, way, 2), true)
 	}
 	n := next(t)
 	s, _ := NewSECDED(mb, n)

@@ -16,94 +16,32 @@ var l1cfg = cache.L1Config("")
 // errNilNext is shared by scheme constructors.
 var errNilNext = errors.New("schemes: nil next level")
 
-// maskedCache is the shared substrate of the word-disable family: a
-// set-associative tag array whose frames carry the fault mask of the
-// word entries they supply. A frame is a physical way (Simple-wdis,
-// SECDED, FBA, IDC), a pair of ways combined into one logical line
-// (Wilkerson⁺) or one of the three data ways left beside the repair way
-// (Bit-fix).
-type maskedCache struct {
-	geo    cache.Geometry
-	frames int     // frames per set
-	lines  []mline // Sets() x frames, set-major
-	tick   uint64
-}
-
-type mline struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-	fault uint8 // defective word entries of this frame
-}
-
 // frameMask derives one frame's fault mask from the map.
 type frameMask func(fm *faultmap.Map, set, frame int) uint8
 
-// newMaskedCache builds the tag array over fm with frames frames per
-// set. mask runs only here, never per access.
-func newMaskedCache(fm *faultmap.Map, frames int, mask frameMask) (maskedCache, error) {
+// newTags builds the tag array of a word-disable cache: the L1's sets,
+// each with frames frames whose fault masks come from mask. A frame is a
+// physical way (Simple-wdis, SECDED, FBA, IDC), a pair of ways combined
+// into one logical line (Wilkerson⁺) or one of the three data ways left
+// beside the repair way (Bit-fix). mask runs only here, never per
+// access. Every frame stays in service: even a fully defective frame
+// keeps its tag in the robust 8T tag array; it just never supplies
+// words.
+func newTags(fm *faultmap.Map, frames int, mask frameMask) (cache.Cache, error) {
 	if fm.Words() != l1cfg.Words() {
-		return maskedCache{}, fmt.Errorf("schemes: fault map covers %d words, cache has %d", fm.Words(), l1cfg.Words())
+		return cache.Cache{}, fmt.Errorf("schemes: fault map covers %d words, cache has %d", fm.Words(), l1cfg.Words())
 	}
-	m := maskedCache{geo: l1cfg.Geometry(), frames: frames, lines: make([]mline, l1cfg.Sets()*frames)}
-	for i := range m.lines {
-		m.lines[i].fault = mask(fm, i/frames, i%frames)
+	cfg := l1cfg
+	cfg.Ways, cfg.SizeBytes = frames, l1cfg.Sets()*frames*cache.BlockBytes
+	c := cache.MustNew(cfg)
+	for f := 0; f < cfg.Blocks(); f++ {
+		c.SetFault(f, mask(fm, f/frames, f%frames))
 	}
-	return m, nil
+	return *c, nil
 }
 
-// access looks addr up and reports whether its tag hit and whether the
-// requested word's entry is fault-free in the hit frame, or with
-// allocate in the frame a tag miss fills. A tag hit refreshes the
-// frame's LRU stamp whether or not allocate is set, so a store to a
-// resident line changes the next victim. A tag miss with allocate fills
-// the LRU frame whether or not the requested word's entry is usable
-// (its neighbours still benefit); one without allocate changes nothing.
-func (m *maskedCache) access(addr uint64, allocate bool) (tagHit, wordOK bool) {
-	m.tick++
-	base := m.geo.Index(addr) * m.frames
-	set := m.lines[base : base+m.frames]
-	tag := m.geo.Tag(addr)
-	bit := uint8(1) << uint(cache.WordInBlock(addr))
-	if l := lookup(set, tag, m.tick); l != nil {
-		return true, l.fault&bit == 0
-	}
-	if !allocate {
-		return false, false
-	}
-	// All frames stay usable: even a fully defective frame keeps tags
-	// in the robust 8T tag array; it just never supplies words.
-	l := victim(set)
-	*l = mline{tag: tag, valid: true, lru: m.tick, fault: l.fault}
-	return false, l.fault&bit == 0
-}
-
-// lookup returns set's valid line holding tag, stamped with tick, or
-// nil.
-func lookup(set []mline, tag, tick uint64) *mline {
-	for i := range set {
-		if l := &set[i]; l.valid && l.tag == tag {
-			l.lru = tick
-			return l
-		}
-	}
-	return nil
-}
-
-// victim returns set's first invalid line, else its least recently
-// used one.
-func victim(set []mline) *mline {
-	best, bestLRU := 0, ^uint64(0)
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if set[i].lru < bestLRU {
-			best, bestLRU = i, set[i].lru
-		}
-	}
-	return &set[best]
-}
+// wordOK reports whether addr's word entry is fault-free under fault.
+func wordOK(fault uint8, addr uint64) bool { return fault&(1<<uint(cache.WordInBlock(addr))) == 0 }
 
 // wayMask is a physical way's own fault mask.
 func wayMask(fm *faultmap.Map, set, way int) uint8 { return fm.BlockMask(set*l1cfg.Ways + way) }
@@ -137,7 +75,7 @@ func repairMask(fault uint8, repairs int) uint8 {
 type WordDisable struct {
 	name string
 	lat  int
-	m    maskedCache
+	tags cache.Cache
 	next *core.NextLevel
 
 	stats WdisStats
@@ -154,14 +92,14 @@ type WdisStats struct {
 // newWordDisable builds a WordDisable whose hit path takes extra cycles
 // beyond the base L1's.
 func newWordDisable(name string, extra int, fm *faultmap.Map, next *core.NextLevel, frames int, mask frameMask) (*WordDisable, error) {
-	m, err := newMaskedCache(fm, frames, mask)
+	tags, err := newTags(fm, frames, mask)
 	if err != nil {
 		return nil, err
 	}
 	if next == nil {
 		return nil, errNilNext
 	}
-	return &WordDisable{name: name, lat: l1cfg.HitLatency + extra, m: m, next: next}, nil
+	return &WordDisable{name: name, lat: l1cfg.HitLatency + extra, tags: tags, next: next}, nil
 }
 
 // NewSimpleWdis builds simple word disable ([2], the paper's
@@ -278,15 +216,16 @@ func (c *WordDisable) Stats() WdisStats { return c.stats }
 // Read implements core.DataCache.
 func (c *WordDisable) Read(addr uint64) core.AccessOutcome {
 	c.stats.Accesses++
-	tagHit, wordOK := c.m.access(addr, true)
-	if tagHit && wordOK {
+	tagHit, fault := c.tags.Lookup(addr, true)
+	ok := wordOK(fault, addr)
+	if tagHit && ok {
 		c.stats.Hits++
 		return core.HitOutcome(c.lat)
 	}
 	if !tagHit {
 		c.stats.TagMisses++
 	}
-	if !wordOK {
+	if !ok {
 		c.stats.DefectMisses++
 	}
 	return core.MissOutcome(c.lat, c.next, addr)
@@ -295,7 +234,7 @@ func (c *WordDisable) Read(addr uint64) core.AccessOutcome {
 // Write implements core.DataCache: write-through, no write allocate.
 func (c *WordDisable) Write(addr uint64) core.AccessOutcome {
 	c.next.WriteWord(addr)
-	if tagHit, wordOK := c.m.access(addr, false); tagHit && wordOK {
+	if tagHit, fault := c.tags.Lookup(addr, false); tagHit && wordOK(fault, addr) {
 		return core.HitOutcome(c.lat)
 	}
 	return core.AccessOutcome{Latency: c.lat}
