@@ -158,24 +158,16 @@ func blockingOpIn(info *types.Info, body *ast.BlockStmt, sh *ctxShared) (token.P
 func runCtxFlow(pass *Pass) {
 	sh := pass.Shared.(*ctxShared)
 	info := pass.TypesInfo()
-	for _, f := range pass.Files() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			// A context is "in scope" for a body if the declaration has
-			// a ctx parameter or the body binds one; literals inherit
-			// the enclosing declaration's scope.
-			obj := info.Defs[fd.Name]
-			fn, _ := obj.(*types.Func)
-			inScope := (fn != nil && hasCtxParam(fn)) || bindsContext(info, fd.Body)
-			if !inScope {
-				continue
-			}
-			for _, body := range flow.BodiesOf(fd) {
-				checkCtxFlow(pass, sh, body.Block)
-			}
+	for fd := range pass.funcDecls() {
+		// A context is "in scope" for a body if the declaration has a
+		// ctx parameter or the body binds one; literals inherit the
+		// enclosing declaration's scope.
+		fn, _ := info.Defs[fd.Name].(*types.Func)
+		if (fn == nil || !hasCtxParam(fn)) && !bindsContext(info, fd.Body) {
+			continue
+		}
+		for _, body := range flow.BodiesOf(fd) {
+			checkCtxFlow(pass, sh, body.Block)
 		}
 	}
 }
@@ -317,8 +309,7 @@ func checkBackgroundArg(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	if callee == nil || callee.Pkg() == nil {
 		return
 	}
-	path := callee.Pkg().Path()
-	if path != pass.Module && !strings.HasPrefix(path, pass.Module+"/") {
+	if !inModule(callee.Pkg().Path(), pass.Module) {
 		return
 	}
 	for _, arg := range call.Args {

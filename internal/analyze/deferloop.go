@@ -20,22 +20,15 @@ var DeferLoop = &Analyzer{
 }
 
 func runDeferLoop(pass *Pass) {
-	for _, f := range pass.Files() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			for _, body := range flow.BodiesOf(fd) {
-				g := flow.New(body.Block)
-				for _, b := range g.Blocks {
-					if !b.InLoop {
-						continue
-					}
-					for _, n := range b.Nodes {
-						if d, ok := n.(*ast.DeferStmt); ok {
-							pass.Reportf(d.Pos(), "defer inside a loop runs at function exit, not iteration end; wrap the iteration in a function or release explicitly")
-						}
+	for fd := range pass.funcDecls() {
+		for _, body := range flow.BodiesOf(fd) {
+			for _, b := range flow.New(body.Block).Blocks {
+				if !b.InLoop {
+					continue
+				}
+				for _, n := range b.Nodes {
+					if d, ok := n.(*ast.DeferStmt); ok {
+						pass.Reportf(d.Pos(), "defer inside a loop runs at function exit, not iteration end; wrap the iteration in a function or release explicitly")
 					}
 				}
 			}

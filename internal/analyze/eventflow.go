@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analyze/flow"
 )
@@ -36,11 +35,9 @@ func runEventflow(pass *Pass) {
 		for _, h := range handlers {
 			checkEventHandler(pass, info, h, set)
 		}
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkPortWiring(pass, info, fd)
-			}
-		}
+	}
+	for fd := range pass.funcDecls() {
+		checkPortWiring(pass, info, fd)
 	}
 }
 
@@ -91,7 +88,7 @@ func isEventType(t types.Type, name string) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return named.Obj().Name() == name && pkgTail(named.Obj().Pkg().Path(), "event")
+	return named.Obj().Name() == name && pkgIn(named.Obj().Pkg().Path(), "event")
 }
 
 // isEngineSchedule matches eng.Schedule(at, fn) on an event Engine.
@@ -327,12 +324,7 @@ func eventPkgCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	return fn.Name() == name && pkgTail(fn.Pkg().Path(), "event")
-}
-
-// pkgTail reports whether path's final slash-separated segment is tail.
-func pkgTail(path, tail string) bool {
-	return path == tail || strings.HasSuffix(path, "/"+tail)
+	return fn.Name() == name && pkgIn(fn.Pkg().Path(), "event")
 }
 
 // sortedObjs returns map keys in declaration order for deterministic

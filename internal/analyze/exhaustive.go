@@ -94,8 +94,3 @@ func enumConstsOf(named *types.Named, tpkg *types.Package) []*types.Const {
 	}
 	return consts
 }
-
-// inModule reports whether an import path belongs to the module.
-func inModule(path, module string) bool {
-	return path == module || strings.HasPrefix(path, module+"/")
-}

@@ -1,10 +1,13 @@
 // Package flow is the control-flow-graph and dataflow foundation under
-// the flow-sensitive lvlint checks (detflow, lockguard, lockbalance,
-// unitflow, deferloop). It is stdlib-only — go/ast plus go/types, no
-// golang.org/x/tools — and deliberately small: basic blocks over one
-// function body, a generic forward worklist solver with caller-supplied
-// lattice join, and a module-wide function index for interprocedural
-// summaries.
+// the flow-sensitive lvlint checks (detflow, unitflow, lockguard,
+// lockbalance, chanflow, wgbalance, sharedcapture, serveflow,
+// deferloop, hotalloc, goleak). It is stdlib-only — go/ast plus
+// go/types, no golang.org/x/tools — and deliberately small: basic
+// blocks over one function body, a generic forward worklist solver
+// with caller-supplied lattice join, the may- and must-map lattices
+// (MayMap, MustMap) every map-fact check uses, one solve-then-replay
+// driver (Replay) through which checks report, and a module-wide
+// function index for interprocedural summaries.
 //
 // The design point is precision where the repo's invariants need it and
 // nothing more: branch/loop/switch edges, early returns, panic

@@ -1,5 +1,10 @@
 package flow
 
+import (
+	"go/ast"
+	"maps"
+)
+
 // Lattice describes the fact domain of a forward dataflow analysis.
 // Facts flow from a block's IN (join of predecessor OUTs) through the
 // block's transfer function to its OUT.
@@ -95,4 +100,81 @@ func Solve[F any](g *Graph, lat Lattice[F], transfer func(b *Block, in F) F) *So
 		}
 	}
 	return sol
+}
+
+// MayMap is the lattice of map facts for may-analyses: joins go key by
+// key through join, a key absent on one side joins as missing (the
+// value every absent key stands for), and entries equal to missing are
+// dropped so that one fact has one representation under Equal.
+func MayMap[M ~map[K]V, K, V comparable](missing V, join func(a, b V) V) Lattice[M] {
+	return Lattice[M]{
+		Init: func() M { return M{} },
+		Join: func(a, b M) M {
+			out := make(M, len(a))
+			for k, v := range a {
+				w, ok := b[k]
+				if !ok {
+					w = missing
+				}
+				out[k] = join(v, w)
+			}
+			for k, w := range b {
+				if _, ok := a[k]; !ok {
+					out[k] = join(missing, w)
+				}
+			}
+			maps.DeleteFunc(out, func(_ K, v V) bool { return v == missing })
+			return out
+		},
+		Equal: maps.Equal[M, M],
+	}
+}
+
+// MustMap is the lattice of map facts for must-analyses: a key survives
+// a join only when both sides hold it and meet, given both values,
+// keeps it.
+func MustMap[M ~map[K]V, K, V comparable](meet func(a, b V) (V, bool)) Lattice[M] {
+	return Lattice[M]{
+		Init: func() M { return M{} },
+		Join: func(a, b M) M {
+			out := M{}
+			for k, v := range a {
+				if w, ok := b[k]; ok {
+					if m, keep := meet(v, w); keep {
+						out[k] = m
+					}
+				}
+			}
+			return out
+		},
+		Equal: maps.Equal[M, M],
+	}
+}
+
+// Replay solves g with step and then runs step once more over every
+// reached block, from its converged IN, with emit set. A check that
+// reports only when emit is set therefore reports from exactly the
+// transfer function its fixpoint was computed with. step must not
+// mutate the IN it is handed.
+func Replay[F any](g *Graph, lat Lattice[F], step func(b *Block, in F, emit bool) F) *Solution[F] {
+	sol := Solve(g, lat, func(b *Block, in F) F { return step(b, in, false) })
+	for _, b := range g.Blocks {
+		if sol.Reached[b.Index] {
+			step(b, sol.In[b.Index], true)
+		}
+	}
+	return sol
+}
+
+// NodeStep lifts a per-node transfer over map facts to the block step
+// Replay takes: the block's IN is cloned and fn applied to each of its
+// nodes in order, updating the clone in place.
+func NodeStep[M ~map[K]V, K comparable, V any](fn func(n ast.Node, env M, emit bool)) func(*Block, M, bool) M {
+	return func(b *Block, in M, emit bool) M {
+		env := maps.Clone(in)
+		for _, n := range b.Nodes {
+			fn(n, env, emit)
+		}
+		return env
+	}
 }

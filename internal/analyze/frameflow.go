@@ -27,7 +27,7 @@ var Frameflow = &Analyzer{
 }
 
 func runFrameflow(pass *Pass) {
-	if !pkgTail(pass.Pkg.Path, "dist") {
+	if !pkgIn(pass.Pkg.Path, "dist") {
 		return
 	}
 	info := pass.TypesInfo()
@@ -37,32 +37,26 @@ func runFrameflow(pass *Pass) {
 	}
 	recvs := map[string]*byeState{}
 	var recvOrder []string
-	for _, file := range pass.Files() {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			for _, b := range flow.BodiesOf(fd) {
-				checkFrameLength(pass, info, b.Block)
-				checkDurableRename(pass, info, b.Block)
-			}
-			name := recvTypeName(fd)
-			if name == "" {
-				continue
-			}
-			st := recvs[name]
-			if st == nil {
-				st = &byeState{}
-				recvs[name] = st
-				recvOrder = append(recvOrder, name)
-			}
-			if pos := mentionPos(fd.Body, "frameHello"); pos != token.NoPos && (st.hello == token.NoPos || pos < st.hello) {
-				st.hello = pos
-			}
-			if mentionPos(fd.Body, "frameBye") != token.NoPos {
-				st.bye = true
-			}
+	for fd := range pass.funcDecls() {
+		for _, b := range flow.BodiesOf(fd) {
+			checkFrameLength(pass, info, b.Block)
+			checkDurableRename(pass, info, b.Block)
+		}
+		name := recvTypeName(fd)
+		if name == "" {
+			continue
+		}
+		st := recvs[name]
+		if st == nil {
+			st = &byeState{}
+			recvs[name] = st
+			recvOrder = append(recvOrder, name)
+		}
+		if pos := mentionPos(fd.Body, "frameHello"); pos != token.NoPos && (st.hello == token.NoPos || pos < st.hello) {
+			st.hello = pos
+		}
+		if mentionPos(fd.Body, "frameBye") != token.NoPos {
+			st.bye = true
 		}
 	}
 	for _, name := range recvOrder {

@@ -22,44 +22,29 @@ var Hotalloc = &Analyzer{
 }
 
 func runHotalloc(pass *Pass) {
-	if !hotPackage(pass.Pkg.Path) {
+	if !pkgIn(pass.Pkg.Path, hotPackages...) {
 		return
 	}
 	info := pass.TypesInfo()
-	for _, file := range pass.Files() {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			for _, b := range flow.BodiesOf(fd) {
-				g := flow.New(b.Block)
-				for _, blk := range g.Blocks {
-					if !blk.InLoop {
-						continue
-					}
-					for _, node := range blk.Nodes {
-						checkHotNode(pass, info, node)
-					}
+	for fd := range pass.funcDecls() {
+		for _, b := range flow.BodiesOf(fd) {
+			for _, blk := range flow.New(b.Block).Blocks {
+				if !blk.InLoop {
+					continue
+				}
+				for _, node := range blk.Nodes {
+					checkHotNode(pass, info, node)
 				}
 			}
 		}
 	}
 }
 
-// hotPackages are the import-path tails of the per-access layers.
+// hotPackages are the package scopes (see pkgIn) of the per-access
+// layers.
 // workload stays out because ByName's error path appends in a loop
 // that is off the hot path.
 var hotPackages = []string{"cpu", "ffw", "bbr", "core", "cache", "schemes"}
-
-func hotPackage(path string) bool {
-	for _, tail := range hotPackages {
-		if pkgTail(path, tail) {
-			return true
-		}
-	}
-	return false
-}
 
 // checkHotNode reports allocation sites in one in-loop CFG node.
 // Nested function literals are skipped — they are separate bodies.

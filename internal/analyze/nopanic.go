@@ -23,31 +23,25 @@ func runNoPanic(pass *Pass) {
 		return
 	}
 	info := pass.TypesInfo()
-	for _, f := range pass.Files() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			if name == "init" || strings.HasPrefix(name, "Must") || strings.HasPrefix(name, "must") {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
-					return true
-				}
-				if obj, ok := info.Uses[id]; !ok || obj != types.Universe.Lookup("panic") {
-					return true
-				}
-				pass.Reportf(call.Pos(), "panic in library function %s; return an error, or move the panic behind a Must helper", name)
-				return true
-			})
+	for fd := range pass.funcDecls() {
+		name := fd.Name.Name
+		if name == "init" || strings.HasPrefix(name, "Must") || strings.HasPrefix(name, "must") {
+			continue
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			if !ok || id.Name != "panic" {
+				return true
+			}
+			if obj, ok := info.Uses[id]; !ok || obj != types.Universe.Lookup("panic") {
+				return true
+			}
+			pass.Reportf(call.Pos(), "panic in library function %s; return an error, or move the panic behind a Must helper", name)
+			return true
+		})
 	}
 }

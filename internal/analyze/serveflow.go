@@ -33,22 +33,16 @@ var Serveflow = &Analyzer{
 
 func runServeflow(pass *Pass) {
 	info := pass.TypesInfo()
-	for _, file := range pass.Files() {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	for fd := range pass.funcDecls() {
+		for _, b := range flow.BodiesOf(fd) {
+			w, r := handlerParams(info, b.Type)
+			if w == nil {
 				continue
 			}
-			for _, b := range flow.BodiesOf(fd) {
-				w, r := handlerParams(info, b.Type)
-				if w == nil {
-					continue
-				}
-				checkHeaderOrder(pass, info, b.Block, w)
-				checkHandlerGoroutines(pass, info, b.Block, w, r)
-			}
-			checkStreamTerminator(pass, info, fd)
+			checkHeaderOrder(pass, info, b.Block, w)
+			checkHandlerGoroutines(pass, info, b.Block, w, r)
 		}
+		checkStreamTerminator(pass, info, fd)
 	}
 }
 
@@ -93,7 +87,7 @@ func isHTTPType(t types.Type, name string, wantPtr bool) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return named.Obj().Name() == name && pkgTail(named.Obj().Pkg().Path(), "http")
+	return named.Obj().Name() == name && pkgIn(named.Obj().Pkg().Path(), "http")
 }
 
 // checkHeaderOrder runs a may-analysis over the handler's CFG: the
@@ -101,13 +95,12 @@ func isHTTPType(t types.Type, name string, wantPtr bool) bool {
 // written-state block is a no-op and is reported.
 func checkHeaderOrder(pass *Pass, info *types.Info, body *ast.BlockStmt, w types.Object) {
 	vals := flow.NewFuncValues(info, body)
-	g := flow.New(body)
 	lat := flow.Lattice[bool]{
 		Init:  func() bool { return false },
 		Join:  func(a, b bool) bool { return a || b },
 		Equal: func(a, b bool) bool { return a == b },
 	}
-	step := func(b *flow.Block, in bool, report bool) bool {
+	step := func(b *flow.Block, in bool, emit bool) bool {
 		written := in
 		for _, n := range b.Nodes {
 			flow.InspectShallow(n, func(m ast.Node) bool {
@@ -115,7 +108,7 @@ func checkHeaderOrder(pass *Pass, info *types.Info, body *ast.BlockStmt, w types
 				if !ok {
 					return true
 				}
-				if report && written && isWriteHeader(info, call, w) {
+				if emit && written && isWriteHeader(info, call, w) {
 					pass.Reportf(call.Pos(), "WriteHeader after the body has started is a no-op — the first write committed the status as 200; set the header before writing")
 				}
 				if bodyWrite(info, vals, call, w) {
@@ -126,12 +119,7 @@ func checkHeaderOrder(pass *Pass, info *types.Info, body *ast.BlockStmt, w types
 		}
 		return written
 	}
-	sol := flow.Solve(g, lat, func(b *flow.Block, in bool) bool { return step(b, in, false) })
-	for _, b := range g.Blocks {
-		if sol.Reached[b.Index] {
-			step(b, sol.In[b.Index], true)
-		}
-	}
+	flow.Replay(flow.New(body), lat, step)
 }
 
 // isWriteHeader matches w.WriteHeader(...) on the handler's writer.
@@ -245,10 +233,10 @@ func checkStreamTerminator(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			Join:  func(a, b bool) bool { return a && b },
 			Equal: func(a, b bool) bool { return a == b },
 		}
-		step := func(b *flow.Block, in bool, report bool) bool {
+		step := func(b *flow.Block, in bool, emit bool) bool {
 			done := in
 			for _, n := range b.Nodes {
-				if ret, ok := n.(*ast.ReturnStmt); ok && report && !done && ret.Pos() > st.def {
+				if ret, ok := n.(*ast.ReturnStmt); ok && emit && !done && ret.Pos() > st.def {
 					pass.Reportf(ret.Pos(), "return without %s.finish — the stream terminator is skipped on this path, so the client cannot tell truncation from completion", obj.Name())
 				}
 				flow.InspectShallow(n, func(m ast.Node) bool {
@@ -260,12 +248,7 @@ func checkStreamTerminator(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			}
 			return done
 		}
-		sol := flow.Solve(g, lat, func(b *flow.Block, in bool) bool { return step(b, in, false) })
-		for _, b := range g.Blocks {
-			if sol.Reached[b.Index] {
-				step(b, sol.In[b.Index], true)
-			}
-		}
+		flow.Replay(g, lat, step)
 	}
 }
 
@@ -279,8 +262,7 @@ func moduleFinishType(module string, t types.Type) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	path := named.Obj().Pkg().Path()
-	if path != module && !hasModulePrefix(path, module) {
+	if !inModule(named.Obj().Pkg().Path(), module) {
 		return false
 	}
 	for i := 0; i < named.NumMethods(); i++ {
@@ -289,10 +271,6 @@ func moduleFinishType(module string, t types.Type) bool {
 		}
 	}
 	return false
-}
-
-func hasModulePrefix(path, module string) bool {
-	return len(path) > len(module) && path[:len(module)] == module && path[len(module)] == '/'
 }
 
 // finishCallRecv returns the receiver object of a v.finish(...) call.

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analyze/flow"
 )
@@ -37,16 +36,6 @@ var UnitFlow = &Analyzer{
 // name) would drown the signal.
 var unitFlowPaths = []string{"internal/energy", "internal/cpu", "internal/dvfs", "internal/cache", "internal/sim"}
 
-func unitFlowSensitive(path string) bool {
-	pkgSlash := path + "/"
-	for _, frag := range unitFlowPaths {
-		if strings.Contains(pkgSlash, frag+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // unitSummary records the unit a function's single result carries, as
 // far as the flow analysis can tell ("" = unknown or mixed).
 type unitSummary struct {
@@ -62,7 +51,7 @@ type unitShared struct {
 func prepareUnitFlow(mod *Module) any {
 	sh := &unitShared{ix: flow.NewIndex(mod.Sources()), sums: map[*types.Func]unitSummary{}}
 	sh.ix.Fixpoint(func(fi *flow.FuncInfo) bool {
-		if fi.Decl.Body == nil || !unitFlowSensitive(pkgOfPath(fi.Path)) {
+		if fi.Decl.Body == nil || !pkgIn(fi.Path, unitFlowPaths...) {
 			return false
 		}
 		sum, ok := summarizeUnits(sh, fi)
@@ -75,10 +64,6 @@ func prepareUnitFlow(mod *Module) any {
 	})
 	return sh
 }
-
-// pkgOfPath strips nothing — kept for symmetry with detflow's
-// timingSensitive, which matches path fragments.
-func pkgOfPath(path string) string { return path }
 
 // summarizeUnits runs the intra analysis for its side effect of
 // computing the returned unit of single-result functions.
@@ -98,19 +83,13 @@ func summarizeUnits(sh *unitShared, fi *flow.FuncInfo) (unitSummary, bool) {
 }
 
 func runUnitFlow(pass *Pass) {
-	if !unitFlowSensitive(pass.Pkg.Path) {
+	if !pkgIn(pass.Pkg.Path, unitFlowPaths...) {
 		return
 	}
 	sh := pass.Shared.(*unitShared)
-	for _, f := range pass.Files() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			u := &unitFunc{shared: sh, info: pass.TypesInfo(), fn: fd}
-			u.analyze(pass)
-		}
+	for fd := range pass.funcDecls() {
+		u := &unitFunc{shared: sh, info: pass.TypesInfo(), fn: fd}
+		u.analyze(pass)
 	}
 }
 
@@ -131,56 +110,14 @@ type unitFunc struct {
 
 func (u *unitFunc) analyze(pass *Pass) {
 	u.pass = pass
-	g := flow.New(u.fn.Body)
-	lat := flow.Lattice[unitEnv]{
-		Init: func() unitEnv {
-			env := unitEnv{}
-			u.seedParams(env)
-			return env
-		},
-		Join: func(a, b unitEnv) unitEnv {
-			out := unitEnv{}
-			for k, v := range a {
-				if b[k] == v {
-					out[k] = v
-				}
-			}
-			return out
-		},
-		Equal: func(a, b unitEnv) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k, v := range a {
-				if b[k] != v {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	sol := flow.Solve(g, lat, func(b *flow.Block, in unitEnv) unitEnv {
-		env := make(unitEnv, len(in))
-		for k, v := range in {
-			env[k] = v
-		}
-		for _, n := range b.Nodes {
-			u.step(n, env, false)
-		}
+	// A unit survives a join only when both paths agree on it.
+	lat := flow.MustMap[unitEnv](func(a, b unit) (unit, bool) { return a, a == b })
+	lat.Init = func() unitEnv {
+		env := unitEnv{}
+		u.seedParams(env)
 		return env
-	})
-	for _, b := range g.Blocks {
-		if !sol.Reached[b.Index] {
-			continue
-		}
-		env := make(unitEnv, len(sol.In[b.Index]))
-		for k, v := range sol.In[b.Index] {
-			env[k] = v
-		}
-		for _, n := range b.Nodes {
-			u.step(n, env, true)
-		}
 	}
+	flow.Replay(flow.New(u.fn.Body), lat, flow.NodeStep(u.step))
 }
 
 func (u *unitFunc) seedParams(env unitEnv) {
