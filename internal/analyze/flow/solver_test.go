@@ -218,3 +218,62 @@ func TestSolverDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMapLatticeJoins pins the two map lattices: MayMap joins every
+// key (an absent key joins as the missing value) and drops entries
+// equal to it; MustMap keeps only keys both sides hold and meet keeps.
+func TestMapLatticeJoins(t *testing.T) {
+	type env map[string]int
+	may := MayMap[env](1, func(a, b int) int { return a * b })
+	got := may.Join(env{"a": 2, "b": 3}, env{"b": 5, "c": 1})
+	if want := (env{"a": 2, "b": 15}); !may.Equal(got, want) {
+		t.Fatalf("MayMap join = %v, want %v (c joins to the missing value and is dropped)", got, want)
+	}
+	must := MustMap[env](func(a, b int) (int, bool) { return min(a, b), a != 7 })
+	got = must.Join(env{"a": 2, "b": 3, "c": 7}, env{"a": 4, "c": 7, "d": 1})
+	if want := (env{"a": 2}); !must.Equal(got, want) {
+		t.Fatalf("MustMap join = %v, want %v", got, want)
+	}
+	if len(may.Init()) != 0 || len(must.Init()) != 0 {
+		t.Fatal("map lattices start from the empty map")
+	}
+}
+
+// TestReplayEmitsReachedBlocksOnce: Replay's emit pass visits every
+// reached block exactly once, from its converged IN, and never an
+// unreachable block.
+func TestReplayEmitsReachedBlocksOnce(t *testing.T) {
+	_, body := parseBody(t, strings.Join([]string{
+		"var x, y int",
+		"for i := 0; i < 3; i++ {",
+		"\tx = 1",
+		"}",
+		"return y",
+		"y = 9", // dead
+	}, "\n"))
+	g := New(body)
+	lat := mayLat()
+	solved := Solve(g, lat, assignTransfer)
+	emitted := map[int]int{}
+	sol := Replay(g, lat, func(b *Block, in assignedSet, emit bool) assignedSet {
+		if emit {
+			emitted[b.Index]++
+			if !setsEqual(in, solved.In[b.Index]) {
+				t.Errorf("block %d replayed from a fact other than its converged IN", b.Index)
+			}
+		}
+		return assignTransfer(b, in)
+	})
+	for _, b := range g.Blocks {
+		want := 0
+		if sol.Reached[b.Index] {
+			want = 1
+		}
+		if emitted[b.Index] != want {
+			t.Errorf("block %d emitted %d times, want %d", b.Index, emitted[b.Index], want)
+		}
+	}
+	if facts := exitFacts(g, lat, sol); !facts["x"] || facts["y"] {
+		t.Fatalf("Replay's solution differs from Solve's: %v", facts)
+	}
+}
