@@ -39,7 +39,7 @@ import (
 func main() {
 	// Worker mode first: the supervisor re-invokes this binary with the
 	// hidden -dist-worker argument; sim's init registered the job kinds.
-	dist.MaybeWorkerMain() //lvlint:ignore ctxflow a worker serves until supervisor stdin EOF; no context governs its lifetime
+	dist.MaybeWorkerMain()
 
 	log.SetFlags(0)
 	log.SetPrefix("lvchaos: ")

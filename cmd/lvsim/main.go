@@ -35,7 +35,7 @@ func main() {
 	// Worker mode first: when the supervisor re-invokes this binary with
 	// the hidden -dist-worker argument, serve jobs and never return. The
 	// sim job kinds are registered by the sim package's init.
-	dist.MaybeWorkerMain() //lvlint:ignore ctxflow a worker serves until supervisor stdin EOF; no context governs its lifetime
+	dist.MaybeWorkerMain()
 
 	log.SetFlags(0)
 	log.SetPrefix("lvsim: ")
