@@ -56,6 +56,9 @@ var kinds = []string{kindEval, kindSweep, kindChaos, kindHier, kindDie}
 // read is an invitation to memory exhaustion.
 const maxBodyBytes = 1 << 20
 
+// cacheShards is the response cache's lock-striping width.
+const cacheShards = 8
+
 // Config tunes the server. The zero value of every field selects a
 // sensible default, so Config{} is a working single-host server.
 type Config struct {
@@ -92,11 +95,10 @@ type Config struct {
 	// RetryAfter is the Retry-After hint on shed responses; 0 selects
 	// 1s.
 	RetryAfter time.Duration
-	// CacheEntries / CacheBytes / CacheShards bound the response cache.
-	// Zeros select 4096 entries, 64 MiB, 8 shards.
+	// CacheEntries / CacheBytes bound the response cache. Zeros select
+	// 4096 entries, 64 MiB.
 	CacheEntries int
 	CacheBytes   int64
-	CacheShards  int
 	// RunCacheEntries bounds the engine's run memo when Engine is nil;
 	// 0 selects 4096.
 	RunCacheEntries int
@@ -141,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
 	}
 	if c.DrainGrace == 0 {
 		c.DrainGrace = 30 * time.Second
@@ -195,7 +194,7 @@ func New(cfg Config) *Server {
 	s.cache = engine.NewMemoConfig(engine.MemoConfig[string, []byte]{
 		MaxEntries: cfg.CacheEntries,
 		MaxBytes:   cfg.CacheBytes,
-		Shards:     cfg.CacheShards,
+		Shards:     cacheShards,
 		Hash: func(key string) uint64 {
 			h := fnv.New64a()
 			_, _ = h.Write([]byte(key)) // hash.Hash.Write never fails
