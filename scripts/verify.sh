@@ -23,6 +23,10 @@
 #            run from the layers' public constructors and checks it
 #            field for field against the real one, and fails when
 #            per-layer self times do not cover the traced wall time
+#   output — one untraced perfbench pass per workload (--seconds 1
+#            --trace 0) must report "correct":true: that mode checks the
+#            simulation's output bytes against perfbench's golden
+#            digests, which the traced smoke never consults
 #   race   — race detector on the packages with shared mutable state
 #            (the run scheduler, the simulator fan-out, the cache model
 #            it drives, the fault-injection/back-off layers the chaos
@@ -89,6 +93,19 @@ for w in fig10 die-campaign hier-chaos serve-mix; do
 	'{"correct":true,'*) echo "$w: correct" ;;
 	*)
 		echo "perfbench: traced $w run is not correct:" >&2
+		echo "$out" | cut -c1-2000 >&2
+		exit 1
+		;;
+	esac
+done
+
+echo '== untraced perfbench output check (every workload, --seconds 1 --trace 0)'
+for w in fig10 die-campaign hier-chaos serve-mix; do
+	out=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+	case "$out" in
+	'{"correct":true,'*) echo "$w: correct" ;;
+	*)
+		echo "perfbench: untraced $w run does not match the golden output:" >&2
 		echo "$out" | cut -c1-2000 >&2
 		exit 1
 		;;
