@@ -15,7 +15,7 @@ import (
 // panicked row.
 func TestMapPartialPanicLeavesDoneFalse(t *testing.T) {
 	p := New(1)
-	results, done, err := MapPartialNotify(context.Background(), p, 5, 0, func(ctx context.Context, i int) (int, error) {
+	results, done, err := MapPartialNotify(context.Background(), p, 5, func(ctx context.Context, i int) (int, error) {
 		if i == 2 {
 			panic("mid-grid")
 		}
@@ -47,7 +47,7 @@ func TestMapPartialNotifyMatchesDoneRows(t *testing.T) {
 	p := New(2)
 	var mu sync.Mutex
 	notified := map[int]bool{}
-	_, done, err := MapPartialNotify(context.Background(), p, 8, 0, func(ctx context.Context, i int) (int, error) {
+	_, done, err := MapPartialNotify(context.Background(), p, 8, func(ctx context.Context, i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("boom")
 		}
@@ -74,7 +74,7 @@ func TestMapPartialNotifyMatchesDoneRows(t *testing.T) {
 // row's own result stays valid (done remains true).
 func TestMapPartialNotifyPanicContained(t *testing.T) {
 	p := New(1)
-	_, done, err := MapPartialNotify(context.Background(), p, 3, 0, func(ctx context.Context, i int) (int, error) {
+	_, done, err := MapPartialNotify(context.Background(), p, 3, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	}, func(i int) {
 		if i == 0 {
@@ -120,7 +120,7 @@ func TestMapPartialInterruptedThenResumedByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	completed := 0
-	results, done, err := MapPartialNotify(ctx, p, n, 0, func(ctx context.Context, i int) (string, error) {
+	results, done, err := MapPartialNotify(ctx, p, n, func(ctx context.Context, i int) (string, error) {
 		if err := ctx.Err(); err != nil {
 			return "", err
 		}

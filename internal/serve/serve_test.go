@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
@@ -428,6 +429,30 @@ func TestSweepExplicitCellsStream(t *testing.T) {
 		t.Fatalf("status %d: %s", status, data)
 	}
 	assertCleanStream(t, data, 3, true)
+}
+
+// TestSweepRowNotBoundedByRunTimeout: the engine's job timeout bounds
+// each simulation run, not a whole sweep row. A row that takes longer
+// than the per-run bound, while each run inside it stays within it,
+// must still stream to completion.
+func TestSweepRowNotBoundedByRunTimeout(t *testing.T) {
+	eng := sim.NewEngine(2)
+	eng.SetJobTimeout(30 * time.Millisecond)
+	s, ts := newTestServer(t, Config{Engine: eng})
+	s.runRow = func(ctx context.Context, spec sim.RowSpec) (sim.RowResult, error) {
+		select {
+		case <-time.After(60 * time.Millisecond):
+			return fakeRow(ctx, spec)
+		case <-ctx.Done():
+			return sim.RowResult{}, ctx.Err()
+		}
+	}
+	body := `{"schemes":["8T"],"benchmarks":["basicmath"],"mvs":[400,440],"instructions":1000}`
+	status, data, _ := post(t, ts.URL, "/v1/sweep", body, nil)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	assertCleanStream(t, data, 2, true)
 }
 
 // TestHierYieldFailIsCachedDatum: a die set no core scheme can cover is

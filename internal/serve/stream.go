@@ -294,7 +294,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamSweep(ctx context.Context, w io.Writer, flusher http.Flusher, cells []sim.RowSpec) ([]byte, error) {
 	var buf bytes.Buffer
 	fl := newRowFlusher(&buf, w, flusher, len(cells))
-	_, _, err := engine.MapPartialNotify(ctx, s.eng.Pool(), len(cells), s.eng.JobTimeout(),
+	_, _, err := engine.MapPartialNotify(ctx, s.eng.Pool(), len(cells),
 		func(ctx context.Context, i int) (struct{}, error) {
 			res, rerr := s.runRow(ctx, cells[i])
 			if rerr != nil {

@@ -93,9 +93,6 @@ func (e *Engine) SetJobTimeout(d time.Duration) {
 	e.jobTimeout = d
 }
 
-// JobTimeout returns the per-run bound (zero when unbounded).
-func (e *Engine) JobTimeout() time.Duration { return e.jobTimeout }
-
 // Run executes one simulation through the engine's memo: a spec already
 // executed on this engine returns its cached result without simulating.
 func (e *Engine) Run(ctx context.Context, spec RunSpec) (cpu.Result, error) {
