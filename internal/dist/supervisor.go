@@ -371,8 +371,7 @@ func (s *supervisor) spawnSlot(slot int) {
 	sl := s.slots[slot]
 	gen := sl.gen
 	sl.gen++
-	argv := s.opts.Command
-	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd := exec.Command(os.Args[0], WorkerFlag)
 	cmd.Env = append(append(os.Environ(), s.opts.Env...), fmt.Sprintf("%s=%d", envGen, gen))
 	cmd.Stderr = s.opts.Stderr
 	stdin, err := cmd.StdinPipe()

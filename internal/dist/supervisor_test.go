@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -104,7 +105,11 @@ func TestSpawnFailureDegradesInProcess(t *testing.T) {
 	want := mustRun(t, n, Options{Stderr: &syncBuffer{}})
 	var stderr syncBuffer
 	opts := fastOpts(2)
-	opts.Command = []string{"/nonexistent/dist-worker-binary"}
+	// Workers re-execute os.Args[0]; point it at a missing binary for
+	// this run only (no test in the package runs in parallel).
+	self := os.Args[0]
+	os.Args[0] = "/nonexistent/dist-worker-binary"
+	t.Cleanup(func() { os.Args[0] = self })
 	opts.Stderr = &stderr
 	got := mustRun(t, n, opts)
 	assertSameRows(t, "after spawn failure", got, want)
