@@ -353,17 +353,52 @@ func pkgIn(path string, scopes ...string) bool {
 	return false
 }
 
-// pkgFunc reports whether the call's callee is the function pkgPath.name
-// (a package-level function accessed through an import), resolving
-// through the type checker rather than matching source text.
-func pkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
+// pkgIs reports whether an import path matches pkg: an exact import
+// path ("os", "math/rand"), or a pkgIn scope written with a leading
+// slash ("/event" matches every package with an "event" segment, so
+// the fixtures' miniature kernels stand in for the real ones).
+func pkgIs(path, pkg string) bool {
+	if scope, ok := strings.CutPrefix(pkg, "/"); ok {
+		return pkgIn(path, scope)
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
+	return path == pkg
+}
+
+// namedObj returns the declaration of t's named type, stripping at
+// most one pointer; nil for unnamed and predeclared types.
+func namedObj(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		return named.Obj()
+	}
+	return nil
+}
+
+// isNamed reports whether t, or the type it points to, is the named
+// type pkg.name, with pkg as in pkgIs.
+func isNamed(t types.Type, pkg, name string) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Name() == name && pkgIs(obj.Pkg().Path(), pkg)
+}
+
+// pkgFunc reports whether the call's static callee is the
+// package-level function pkg.name, with pkg as in pkgIs.
+func pkgFunc(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
+	fn := flow.Callee(info, call)
+	return fn != nil && fn.Pkg() != nil && fn.Signature().Recv() == nil &&
+		fn.Name() == name && pkgIs(fn.Pkg().Path(), pkg)
+}
+
+// methodCall resolves a method call x.m(...) to its static callee and
+// the receiver expression x; fn is nil for any other call and for the
+// predeclared error.Error.
+func methodCall(info *types.Info, call *ast.CallExpr) (fn *types.Func, x ast.Expr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	fn = flow.Callee(info, call)
+	if !ok || fn == nil || fn.Pkg() == nil || fn.Signature().Recv() == nil {
+		return nil, nil
+	}
+	return fn, sel.X
 }

@@ -76,19 +76,11 @@ func hasCtxParam(fn *types.Func) bool {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
+		if isNamed(sig.Params().At(i).Type(), "context", "Context") {
 			return true
 		}
 	}
 	return false
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
 }
 
 // blockingOpIn scans a function body (skipping goroutine and other
@@ -187,7 +179,7 @@ func bindsContext(info *types.Info, body *ast.BlockStmt) bool {
 			// context: it cannot be threaded anywhere.
 			return true
 		}
-		if obj, isDef := info.Defs[id]; isDef && obj != nil && isContextType(obj.Type()) {
+		if obj, isDef := info.Defs[id]; isDef && obj != nil && isNamed(obj.Type(), "context", "Context") {
 			found = true
 		}
 		return true

@@ -39,13 +39,41 @@ var Detflow = &Analyzer{
 	Run:     runDetflow,
 }
 
-// seededRandFuncs are the math/rand entry points that take (or build
-// from) an explicit seed and are therefore reproducible.
-var seededRandFuncs = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+// seededRand lists, per math/rand version, the package-level
+// functions that build a generator from an explicit seed or source;
+// every other package-level function of either package draws from the
+// shared global generator.
+var seededRand = map[string]map[string]bool{
+	"math/rand":    {"New": true, "NewSource": true, "NewZipf": true},
+	"math/rand/v2": {"New": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true},
+}
 
 // wallClockFuncs are the time-package functions that read the host
 // clock.
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true, "Tick": true, "After": true}
+
+// sourceOf classifies a callee as a nondeterminism source: a global
+// math/rand or math/rand/v2 draw (taintRand), a host-clock read
+// (taintClock) or a scheduler-dependent runtime read (taintSched).
+// Methods are never sources: a *rand.Rand draws from its own seeded
+// state, and time.Time.After compares two times. detflow's immediate
+// findings and taint sources and eventflow's handler rules all ask
+// here.
+func sourceOf(fn *types.Func) taintKind {
+	if fn == nil || fn.Pkg() == nil || fn.Signature().Recv() != nil {
+		return taintNone
+	}
+	path, name := fn.Pkg().Path(), fn.Name()
+	switch {
+	case seededRand[path] != nil && !seededRand[path][name]:
+		return taintRand
+	case path == "time" && wallClockFuncs[name]:
+		return taintClock
+	case path == "runtime" && (name == "NumGoroutine" || name == "Stack"):
+		return taintSched
+	}
+	return taintNone
+}
 
 // taintKind classifies the root nondeterminism source of a value.
 type taintKind uint8
@@ -200,24 +228,16 @@ func runDetflow(pass *Pass) {
 		if !ok {
 			return true
 		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
+		fn, _ := info.Uses[sel.Sel].(*types.Func)
+		kind := sourceOf(fn)
+		if kind == taintRand {
+			d := pass.report(n.Pos(), "call to global math/rand.%s; draw from a rand.New(rand.NewSource(seed)) instance so runs replay bit-for-bit", fn.Name())
+			if fix, ok := seedThreadFix(pass, sel, fn.Pkg().Path()); ok {
+				d.Fixes = append(d.Fixes, fix)
+			}
 		}
-		switch fn.Pkg().Path() {
-		case "math/rand", "math/rand/v2":
-			// Methods on *rand.Rand are fine — only package-level
-			// functions hit the shared global generator.
-			if fn.Type().(*types.Signature).Recv() == nil && !seededRandFuncs[fn.Name()] {
-				d := pass.report(n.Pos(), "call to global math/rand.%s; draw from a rand.New(rand.NewSource(seed)) instance so runs replay bit-for-bit", fn.Name())
-				if fix, ok := seedThreadFix(pass, sel); ok {
-					d.Fixes = append(d.Fixes, fix)
-				}
-			}
-		case "time":
-			if timing && wallClockFuncs[fn.Name()] {
-				pass.Reportf(n.Pos(), "wall-clock read time.%s in timing-sensitive package %s; simulated time must not depend on the host clock", fn.Name(), pass.Pkg.Path)
-			}
+		if kind == taintClock && timing {
+			pass.Reportf(n.Pos(), "wall-clock read time.%s in timing-sensitive package %s; simulated time must not depend on the host clock", fn.Name(), pass.Pkg.Path)
 		}
 		return true
 	})
@@ -677,19 +697,13 @@ func (a *detFunc) evalCall(call *ast.CallExpr, env taintEnv, emit bool) []taintV
 	fn := flow.Callee(a.info, call)
 	nres := callResults(a.info, call)
 
+	if kind := sourceOf(fn); kind != taintNone {
+		a.evalArgs(call, env, emit)
+		return fill(nres, taintVal{kind: kind, pos: call.Pos()})
+	}
 	if fn != nil && fn.Pkg() != nil {
 		pkg, name := fn.Pkg().Path(), fn.Name()
-		recv := fn.Type().(*types.Signature).Recv()
 		switch {
-		case (pkg == "math/rand" || pkg == "math/rand/v2") && recv == nil && !seededRandFuncs[name]:
-			a.evalArgs(call, env, emit)
-			return fill(nres, taintVal{kind: taintRand, pos: call.Pos()})
-		case pkg == "time" && wallClockFuncs[name]:
-			a.evalArgs(call, env, emit)
-			return fill(nres, taintVal{kind: taintClock, pos: call.Pos()})
-		case pkg == "runtime" && (name == "NumGoroutine" || name == "Stack"):
-			a.evalArgs(call, env, emit)
-			return fill(nres, taintVal{kind: taintSched, pos: call.Pos()})
 		case pkg == "sort" || pkg == "slices":
 			// Sorting is the sanctioned sanitizer for iteration-order
 			// taint: clear it on the sorted argument.
@@ -777,7 +791,7 @@ func (a *detFunc) applySummary(call *ast.CallExpr, fn *types.Func, sum *detSumma
 			argPos = append(argPos, sel.X.Pos())
 		}
 	}
-	if fn.Type().(*types.Signature).Recv() != nil && len(argVals) == 0 {
+	if fn.Signature().Recv() != nil && len(argVals) == 0 {
 		// Method expression/value call forms: be conservative.
 		argVals = append(argVals, taintVal{})
 		argPos = append(argPos, call.Pos())
@@ -893,20 +907,11 @@ func (a *detFunc) sinkCompositeField(lit *ast.CompositeLit, kv *ast.KeyValueExpr
 // sinkTypeName reports whether t is a result-carrying type declared in
 // the module (…Result, …Row, …Cell, …Epoch, …Summary, …Residency).
 func sinkTypeName(t types.Type, module string) (string, bool) {
-	if t == nil {
+	obj := namedObj(t)
+	if obj == nil || !inModule(obj.Pkg().Path(), module) {
 		return "", false
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	if !inModule(named.Obj().Pkg().Path(), module) {
-		return "", false
-	}
-	name := named.Obj().Name()
+	name := obj.Name()
 	for _, suffix := range []string{"Result", "Row", "Cell", "Epoch", "Summary", "Residency"} {
 		if strings.HasSuffix(name, suffix) {
 			return name, true

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"repro/internal/analyze/flow"
 )
 
 // ErrDrop flags call statements that silently discard an error result —
@@ -126,27 +128,15 @@ func fileOrigins(info *types.Info, file *ast.File) map[types.Object]fileOrigin {
 // fileCloseRecv matches a `f.Close()` call on an *os.File and returns
 // f's object.
 func fileCloseRecv(info *types.Info, call *ast.CallExpr) (types.Object, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
+	fn, x := methodCall(info, call)
+	if fn == nil || fn.Name() != "Close" || !isNamed(fn.Signature().Recv().Type(), "os", "File") {
 		return nil, false
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
+	id, ok := x.(*ast.Ident)
+	if !ok || info.Uses[id] == nil {
 		return nil, false
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil || typeString(recv.Type()) != "os.File" {
-		return nil, false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return nil, false
-	}
-	return obj, true
+	return info.Uses[id], true
 }
 
 // readOnlyCloser reports whether call is a niladic Close method
@@ -157,22 +147,14 @@ func fileCloseRecv(info *types.Info, call *ast.CallExpr) (types.Object, bool) {
 // construction. *os.File never matches (it has Write); the origin
 // rules above govern files.
 func readOnlyCloser(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+	fn, x := methodCall(info, call)
+	if fn == nil || fn.Name() != "Close" || fn.Signature().Params().Len() != 0 || fn.Signature().Results().Len() != 1 {
 		return false
 	}
 	// Scan the receiver EXPRESSION's static type, not the method's
 	// declared receiver: io.WriteCloser resolves Close to io.Closer,
 	// whose own method set would hide the Write next to it.
-	t := info.TypeOf(sel.X)
+	t := info.TypeOf(x)
 	if t == nil || hasWriteSide(t) {
 		return false
 	}
@@ -212,39 +194,16 @@ func returnsError(sig *types.Signature) bool {
 // method object's own signature — the selector expression's type is a
 // method value with the receiver already stripped.
 func exemptCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := flow.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
 	if fn.Pkg().Path() == "fmt" {
 		return true
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	switch typeString(recv.Type()) {
-	case "strings.Builder", "bytes.Buffer", "text/tabwriter.Writer":
-		return true
-	}
-	return false
-}
-
-// typeString renders a receiver type as "pkgpath.Name" with pointers
-// stripped.
-func typeString(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	recv := fn.Signature().Recv()
+	return recv != nil && (isNamed(recv.Type(), "strings", "Builder") || isNamed(recv.Type(), "bytes", "Buffer") ||
+		isNamed(recv.Type(), "text/tabwriter", "Writer"))
 }
 
 // calleeName renders the called expression for the message.

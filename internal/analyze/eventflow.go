@@ -19,9 +19,10 @@ import (
 // Connects it nor hands it to anyone can only ever return
 // ErrUnconnected from Send.
 //
-// Event types are matched by name (Port, Engine, Time) in any package
-// whose import path ends in "event", so the fixtures' miniature kernel
-// exercises the same code paths as internal/event.
+// Event types and functions are matched by name (Port, Engine, Time,
+// NewPort, Connect) in any package with an "event" path segment, so
+// the fixtures' miniature kernel exercises the same code paths as
+// internal/event.
 var Eventflow = &Analyzer{
 	Name: "eventflow",
 	Doc:  "determinism and wiring protocol inside event handlers",
@@ -57,7 +58,7 @@ func eventHandlers(info *types.Info, file *ast.File) ([]*ast.FuncLit, map[*ast.F
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				sel, ok := lhs.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "OnRecv" || !isEventType(info.TypeOf(sel.X), "Port") {
+				if !ok || sel.Sel.Name != "OnRecv" || !isNamed(info.TypeOf(sel.X), "/event", "Port") {
 					continue
 				}
 				if i < len(n.Rhs) {
@@ -78,26 +79,10 @@ func eventHandlers(info *types.Info, file *ast.File) ([]*ast.FuncLit, map[*ast.F
 	return out, set
 }
 
-// isEventType reports whether t is (a pointer to) the named type from
-// a package whose path ends in "event".
-func isEventType(t types.Type, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Name() == name && pkgIn(named.Obj().Pkg().Path(), "event")
-}
-
 // isEngineSchedule matches eng.Schedule(at, fn) on an event Engine.
 func isEngineSchedule(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Schedule" {
-		return false
-	}
-	return isEventType(info.TypeOf(sel.X), "Engine")
+	fn, _ := methodCall(info, call)
+	return fn != nil && fn.Name() == "Schedule" && isNamed(fn.Signature().Recv().Type(), "/event", "Engine")
 }
 
 // checkEventHandler walks one handler body. Nested literals that are
@@ -106,7 +91,7 @@ func checkEventHandler(pass *Pass, info *types.Info, lit *ast.FuncLit, set map[*
 	vals := flow.NewFuncValues(info, lit.Body)
 	timeParams := map[types.Object]bool{}
 	for _, field := range lit.Type.Params.List {
-		if !isEventType(info.TypeOf(field.Type), "Time") {
+		if !isNamed(info.TypeOf(field.Type), "/event", "Time") {
 			continue
 		}
 		for _, name := range field.Names {
@@ -128,11 +113,12 @@ func checkEventHandler(pass *Pass, info *types.Info, lit *ast.FuncLit, set map[*
 				}
 			}
 		case *ast.CallExpr:
-			switch {
-			case pkgFunc(info, n, "time", "Now"):
-				pass.Reportf(n.Pos(), "wall-clock time.Now inside an event handler breaks replay; use the handler's simulated timestamp")
-			case globalRandCall(info, n):
-				pass.Reportf(n.Pos(), "unseeded global math/rand.%s inside an event handler draws from shared state; use a per-run rand.New(rand.NewSource(seed))", calleeName(n))
+			fn := flow.Callee(info, n)
+			switch kind := sourceOf(fn); {
+			case kind == taintClock:
+				pass.Reportf(n.Pos(), "wall-clock time.%s inside an event handler breaks replay; use the handler's simulated timestamp", fn.Name())
+			case kind == taintRand:
+				pass.Reportf(n.Pos(), "unseeded global %s.%s inside an event handler draws from shared state; use a per-run rand.New(rand.NewSource(seed))", fn.Pkg().Path(), fn.Name())
 			case isEngineSchedule(info, n) && len(n.Args) > 0:
 				if at := pastTick(info, vals, n.Args[0], timeParams); at != "" {
 					pass.Reportf(n.Pos(), "schedules at %s minus an offset — a past tick is silently clamped to Now, reordering events; add the delay to the current time instead", at)
@@ -182,27 +168,6 @@ func keyCollect(rs *ast.RangeStmt) bool {
 	return okDst && okArg && dst.Name == lhs.Name && arg.Name == key.Name
 }
 
-// globalRandCall matches package-level math/rand functions that draw
-// from the shared default source. Constructors are exempt.
-func globalRandCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewZipf":
-		return false
-	}
-	return true
-}
-
 // pastTick reports the time parameter's name when the schedule
 // argument resolves to `at - d` with at a handler Time parameter.
 func pastTick(info *types.Info, vals *flow.FuncValues, arg ast.Expr, timeParams map[types.Object]bool) string {
@@ -235,7 +200,7 @@ func checkPortWiring(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !eventPkgCall(info, call, "NewPort") {
+		if !ok || !pkgFunc(info, call, "/event", "NewPort") {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -259,7 +224,7 @@ func checkPortWiring(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 				selParent[id] = n
 			}
 		case *ast.CallExpr:
-			if eventPkgCall(info, n, "Connect") {
+			if pkgFunc(info, n, "/event", "Connect") {
 				for _, arg := range n.Args {
 					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 						connectArg[id] = true
@@ -299,32 +264,6 @@ func checkPortWiring(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			pass.Reportf(pos, "%s.Send on a port created here but never Connected in this function — it can only return ErrUnconnected", obj.Name())
 		}
 	}
-}
-
-// eventPkgCall matches a call to name in a package whose path ends in
-// "event", unwrapping explicit generic instantiation.
-func eventPkgCall(info *types.Info, call *ast.CallExpr, name string) bool {
-	fun := ast.Unparen(call.Fun)
-	switch f := fun.(type) {
-	case *ast.IndexExpr:
-		fun = f.X
-	case *ast.IndexListExpr:
-		fun = f.X
-	}
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.SelectorExpr:
-		obj = info.Uses[f.Sel]
-	case *ast.Ident:
-		obj = info.Uses[f]
-	default:
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Name() == name && pkgIn(fn.Pkg().Path(), "event")
 }
 
 // sortedObjs returns map keys in declaration order for deterministic

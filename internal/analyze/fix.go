@@ -244,9 +244,10 @@ func freeName(info *types.Info, n ast.Node, base string) string {
 }
 
 // seedThreadFix rewrites a global rand call (rand.Intn(...)) to use an
-// in-scope seeded *rand.Rand instance, when exactly one is visible and
-// the file keeps other uses of the rand import.
-func seedThreadFix(pass *Pass, sel *ast.SelectorExpr) (SuggestedFix, bool) {
+// in-scope seeded *rand.Rand instance of the same rand package (path,
+// math/rand or math/rand/v2), when exactly one is visible and the file
+// keeps other uses of the rand import.
+func seedThreadFix(pass *Pass, sel *ast.SelectorExpr, path string) (SuggestedFix, bool) {
 	info := pass.TypesInfo()
 	var fd *ast.FuncDecl
 	var file *ast.File
@@ -272,7 +273,7 @@ func seedThreadFix(pass *Pass, sel *ast.SelectorExpr) (SuggestedFix, bool) {
 		if obj == nil || id.Pos() >= sel.Pos() || id.Pos() < fd.Pos() {
 			continue
 		}
-		if typeString(obj.Type()) != "math/rand.Rand" {
+		if !isNamed(obj.Type(), path, "Rand") {
 			continue
 		}
 		if !seen[obj.Name()] {
@@ -292,7 +293,7 @@ func seedThreadFix(pass *Pass, sel *ast.SelectorExpr) (SuggestedFix, bool) {
 			return true
 		}
 		if id, ok := s.X.(*ast.Ident); ok {
-			if pkg, ok := info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == "math/rand" {
+			if pkg, ok := info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == path {
 				uses++
 			}
 		}

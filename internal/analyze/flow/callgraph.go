@@ -81,16 +81,26 @@ func (ix *Index) Lookup(obj *types.Func) *FuncInfo {
 	return ix.byObj[obj]
 }
 
-// Callee resolves the static callee of a call expression: a plain
-// function, a method on a named type, or nil for indirect calls
-// (function values, interface methods) and non-module callees.
+// Callee resolves the static callee of a call expression — a function
+// or a method (interface methods included) — or returns nil for calls
+// through function values, builtins and conversions. Explicit generic
+// instantiation (F[T](x), pkg.F[K, V](x)) resolves to the generic
+// function. It is the one place lvlint decides which function a call
+// names.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	switch f := fun.(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
+		fn, _ := info.Uses[f].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		fn, _ := info.Uses[f.Sel].(*types.Func)
 		return fn
 	}
 	return nil

@@ -41,9 +41,14 @@ func a() int { return b() + 1 }
 
 func b() int { return 2 }
 
+func id[V any](v V) V { return v }
+
+func pair[K comparable, V any](k K, v V) {}
+
 func uses(t *T) int {
 	f := func() int { return a() }
-	return f() + t.Get()
+	pair[string, int]("k", 1)
+	return f() + t.Get() + id[int](0)
 }
 `
 
@@ -85,7 +90,9 @@ func TestCalleeResolution(t *testing.T) {
 			indirect++
 		}
 	}
-	for _, want := range []string{"a", "b", "Get"} {
+	// Explicit instantiation (id[int], pair[string, int]) resolves to
+	// the generic function.
+	for _, want := range []string{"a", "b", "Get", "id", "pair"} {
 		if !got[want] {
 			t.Fatalf("Callee missed %s (resolved %v)", want, got)
 		}

@@ -149,23 +149,18 @@ func checkFrameLength(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	})
 }
 
-// wireLengthRead matches binary.BigEndian.UintNN / LittleEndian.UintNN.
+// wireLengthRead matches the UintNN reads of encoding/binary's byte
+// orders (binary.BigEndian.Uint32 and friends).
 func wireLengthRead(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	fn, _ := methodCall(info, call)
+	if fn == nil || fn.Pkg().Path() != "encoding/binary" {
 		return false
 	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Uint16", "Uint32", "Uint64":
-	default:
-		return false
+		return true
 	}
-	inner, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	v, ok := info.Uses[inner.Sel].(*types.Var)
-	return ok && v.Pkg() != nil && v.Pkg().Path() == "encoding/binary"
+	return false
 }
 
 // checkDurableRename flags os.Rename in a function that wrote file

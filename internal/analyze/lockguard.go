@@ -72,24 +72,17 @@ var mayLattice = flow.MayMap[lockset](0, func(a, b uint8) uint8 { return max(a, 
 // m.Lock()` keys as "s.mu", so the lock and a later direct s.mu
 // access agree on one name (vals may be nil: plain ExprKey).
 func lockOp(info *types.Info, vals *flow.FuncValues, call *ast.CallExpr) (key, op string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	fn, x := methodCall(info, call)
+	if fn == nil || fn.Pkg().Path() != "sync" {
 		return "", ""
 	}
-	switch sel.Sel.Name {
+	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
+		if key = vals.CanonKey(x); key != "" {
+			return key, fn.Name()
+		}
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	key = vals.CanonKey(sel.X)
-	if key == "" {
-		return "", ""
-	}
-	return key, sel.Sel.Name
+	return "", ""
 }
 
 // lockTransfer applies one CFG node's mutex operations to a lockset

@@ -54,8 +54,9 @@ func handlerParams(info *types.Info, ft *ast.FuncType) (w, r types.Object) {
 	}
 	for _, field := range ft.Params.List {
 		t := info.TypeOf(field.Type)
-		isW := isHTTPType(t, "ResponseWriter", false)
-		isR := isHTTPType(t, "Request", true)
+		isW := isNamed(t, "/http", "ResponseWriter")
+		_, isPtr := t.(*types.Pointer)
+		isR := isPtr && isNamed(t, "/http", "Request")
 		if !isW && !isR {
 			continue
 		}
@@ -73,21 +74,6 @@ func handlerParams(info *types.Info, ft *ast.FuncType) (w, r types.Object) {
 		}
 	}
 	return w, r
-}
-
-// isHTTPType matches the named type (optionally behind a pointer) from
-// a package whose path ends in "http".
-func isHTTPType(t types.Type, name string, wantPtr bool) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	} else if wantPtr {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Name() == name && pkgIn(named.Obj().Pkg().Path(), "http")
 }
 
 // checkHeaderOrder runs a may-analysis over the handler's CFG: the
@@ -255,16 +241,11 @@ func checkStreamTerminator(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 // moduleFinishType reports whether t is (a pointer to) a named type
 // declared in this module with a finish method.
 func moduleFinishType(module string, t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	obj := namedObj(t)
+	if obj == nil || !inModule(obj.Pkg().Path(), module) {
 		return false
 	}
-	if !inModule(named.Obj().Pkg().Path(), module) {
-		return false
-	}
+	named := obj.Type().(*types.Named)
 	for i := 0; i < named.NumMethods(); i++ {
 		if named.Method(i).Name() == "finish" {
 			return true

@@ -347,20 +347,11 @@ func pkgScoped(v *types.Var) bool {
 // the sync package's own primitives, whose whole point is cross-
 // goroutine sharing.
 func mutableCaptureType(t types.Type) bool {
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-			return false
-		}
+	if obj := namedObj(t); obj != nil && (obj.Pkg().Path() == "sync" || obj.Pkg().Path() == "sync/atomic") {
+		return false
 	}
 	switch u := t.Underlying().(type) {
-	case *types.Map, *types.Slice:
-		return true
-	case *types.Pointer:
-		if named, ok := u.Elem().(*types.Named); ok {
-			if pkg := named.Obj().Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-				return false
-			}
-		}
+	case *types.Map, *types.Slice, *types.Pointer:
 		return true
 	case *types.Struct:
 		return u.NumFields() > 0
