@@ -2,10 +2,11 @@ package main
 
 import (
 	"errors"
-	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // TestRejectsWhatTheServiceRejects: a spec lvserve would refuse with a
@@ -19,8 +20,7 @@ func TestRejectsWhatTheServiceRejects(t *testing.T) {
 		"hierarchy bad voltage":   {"-hierarchy", "-bench", "qsort", "-n", "1000", "-mv", "123"},
 	}
 	for name, args := range cases {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd := golden.Command(args...)
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()

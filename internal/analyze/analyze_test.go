@@ -10,7 +10,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
+
+// TestMain fails on a golden file that no test checked.
+func TestMain(m *testing.M) { golden.Main(m, nil) }
 
 // TestFixtures runs each analyzer over its testdata tree and compares
 // the diagnostics against `// want "substring"` expectations: every
@@ -347,8 +352,8 @@ func TestFixRoundTrip(t *testing.T) {
 // each check against its own fixtures by substring; this pins what the
 // whole suite reports, cross-check findings included, so a refactor
 // that changes any message or adds or loses any finding fails here.
-// There is no update flag: on an intended change, copy the printed
-// list into the golden file.
+// There is no update flag: on an intended change, install the new list
+// with the printed cp command.
 func TestFixtureDigest(t *testing.T) {
 	loader := NewLoader("test")
 	pkgs, err := loader.LoadTree("testdata")
@@ -363,28 +368,5 @@ func TestFixtureDigest(t *testing.T) {
 		}
 		got = append(got, fmt.Sprintf("%s:%d:%d: [%s] %s", filepath.ToSlash(rel), d.Position.Line, d.Position.Column, d.Check, d.Message))
 	}
-	data, err := os.ReadFile(filepath.Join("testdata", "fixtures.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if strings.Join(got, "\n") == strings.Join(want, "\n") {
-		return
-	}
-	gotSet, wantSet := map[string]bool{}, map[string]bool{}
-	for _, l := range got {
-		gotSet[l] = true
-	}
-	for _, l := range want {
-		wantSet[l] = true
-		if !gotSet[l] {
-			t.Errorf("lost: %s", l)
-		}
-	}
-	for _, l := range got {
-		if !wantSet[l] {
-			t.Errorf("new:  %s", l)
-		}
-	}
-	t.Errorf("fixture findings differ from testdata/fixtures.golden; the full list is:\n%s", strings.Join(got, "\n"))
+	golden.Check(t, "testdata/fixtures.golden", []byte(strings.Join(got, "\n")+"\n"))
 }

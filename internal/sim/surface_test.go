@@ -4,21 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/dvfs"
+	"repro/internal/golden"
 	"repro/internal/inject"
 )
 
 // TestMain lets the test binary serve as its own dist worker, so the
 // cross-surface test can run grids at -shards 2 exactly as the commands
-// do.
+// do, and fails on a golden file that no test checked.
 func TestMain(m *testing.M) {
 	dist.MaybeWorkerMain()
-	os.Exit(m.Run())
+	golden.Main(m, nil)
 }
 
 // surfaceCase is one small spec of a job kind plus its direct

@@ -11,10 +11,9 @@
 #            protocol checks: eventflow, serveflow, frameflow,
 #            hotalloc); nonzero exit on any finding
 #   test   — full unit/integration suite, shuffled (-shuffle=on) so
-#            order-dependent tests cannot hide behind file order
-#   examples — every examples/* program's stdout must hash to its line
-#            in examples/digests.txt (the examples are deterministic for
-#            their default seed; a changed digest is a changed output)
+#            order-dependent tests cannot hide behind file order; it
+#            includes the golden-file tests that pin the simulator's,
+#            every command's and every example's output bytes
 #   perfbench — vet and test the benchmark harness module (its golden
 #            output digests), so a change to an internal API or output
 #            the benchmark depends on fails here, not in a benchmark run
@@ -65,22 +64,6 @@ go run ./cmd/lvlint ./...
 
 echo '== go test -shuffle=on ./...'
 go test -shuffle=on ./...
-
-echo '== examples (stdout digests, examples/digests.txt)'
-for dir in examples/*/; do
-	name=$(basename "$dir")
-	want=$(awk -v n="$name" '$2 == n { print $1 }' examples/digests.txt)
-	if [ -z "$want" ]; then
-		echo "examples: $name has no line in examples/digests.txt" >&2
-		exit 1
-	fi
-	got=$(go run "./$dir" | sha256sum | cut -d' ' -f1)
-	if [ "$got" != "$want" ]; then
-		echo "examples: $name stdout digest $got, want $want" >&2
-		exit 1
-	fi
-	echo "$name: ok"
-done
 
 echo '== go -C perfbench vet ./... && go -C perfbench test ./...'
 go -C perfbench vet ./...
