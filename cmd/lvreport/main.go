@@ -236,8 +236,11 @@ func table3() {
 
 func figures101112(ctx context.Context, eng *sim.Engine, cfg sim.Config, schemes []sim.Scheme, plots bool, csvPath string) {
 	fmt.Println("\n== Figures 10-12: runtime / L2 accesses / EPI over the DVFS region ==")
-	fmt.Printf("(instructions/run=%d, maps/cell<=%d, margin=%.0f%%, workers=%d)\n",
-		cfg.Instructions, cfg.MaxMaps, 100*cfg.Margin, eng.Workers())
+	fmt.Printf("(instructions/run=%d, maps/cell<=%d, margin=%.0f%%)\n",
+		cfg.Instructions, cfg.MaxMaps, 100*cfg.Margin)
+	// The worker count names the host, not the results: keep it off
+	// stdout so every worker count prints the same bytes.
+	log.Printf("figures 10-12: workers=%d", eng.Workers())
 	cells, err := eng.Evaluate(ctx, cfg, schemes, nil, nil)
 	if err != nil {
 		log.Fatal(err)
