@@ -87,23 +87,6 @@ func MarchCMinus(a *Array) *MarchResult {
 	return res
 }
 
-// WithDecoderFault makes accesses to word `from` alias to word `to`,
-// modelling an address-decoder defect. Injection helper for BIST tests;
-// it panics on out-of-range indices.
-func (a *Array) WithDecoderFault(from, to int) {
-	if from < 0 || from >= len(a.data) || to < 0 || to >= len(a.data) {
-		//lvlint:ignore nopanic documented bounds panic in a test-injection helper
-		panic("faultmap: decoder fault indices out of range")
-	}
-	if a.alias == nil {
-		a.alias = make([]int32, len(a.data))
-		for i := range a.alias {
-			a.alias[i] = int32(i)
-		}
-	}
-	a.alias[from] = int32(to)
-}
-
 // resolve applies any decoder aliasing to a word index.
 func (a *Array) resolve(w int) int {
 	if a.alias == nil {
