@@ -1,14 +1,19 @@
 package analyze
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,33 +33,38 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages without the go command or
-// golang.org/x/tools: intra-module imports resolve against packages the
-// loader has already checked (topological order), and standard-library
-// imports are type-checked from GOROOT source by go/importer's "source"
-// compiler importer.
+// Loader parses and type-checks packages without golang.org/x/tools:
+// intra-module imports are type-checked from source (the checks need
+// their syntax trees) in topological order, and every other import is
+// read by go/importer's "gc" importer from the compiler export data
+// that one `go list -export -deps` call reports.
 type Loader struct {
 	Fset *token.FileSet
 	// Module is the module path from go.mod.
 	Module string
-	// std resolves standard-library imports from source.
+	// std reads non-module imports from the export files in exports.
 	std types.Importer
+	// exports maps import paths to export data files.
+	exports map[string]string
 	// checked caches finished packages by import path.
 	checked map[string]*Package
 	// dirOf maps registered import paths to directories.
 	dirOf map[string]string
+	// parsed holds each directory's syntax trees until it is checked.
+	parsed map[string][]*ast.File
 }
 
 // NewLoader returns a loader rooted at the module whose path is module.
 func NewLoader(module string) *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:    fset,
+	l := &Loader{
+		Fset:    token.NewFileSet(),
 		Module:  module,
-		std:     importer.ForCompiler(fset, "source", nil),
 		checked: map[string]*Package{},
 		dirOf:   map[string]string{},
+		parsed:  map[string][]*ast.File{},
 	}
+	l.std = importer.ForCompiler(l.Fset, "gc", l.openExport)
+	return l
 }
 
 // ModulePath reads the module path from the go.mod in dir.
@@ -74,13 +84,14 @@ func ModulePath(dir string) (string, error) {
 
 // LoadTree loads every package under root (the module root), skipping
 // testdata, hidden directories and _test.go files, and returns the
-// packages in topological (dependency-first) order.
+// packages in sorted import-path order.
 func (l *Loader) LoadTree(root string) ([]*Package, error) {
 	dirs, err := goDirs(root)
 	if err != nil {
 		return nil, err
 	}
 	var paths []string
+	external := map[string]bool{}
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -91,11 +102,26 @@ func (l *Loader) LoadTree(root string) ([]*Package, error) {
 			path = l.Module + "/" + filepath.ToSlash(rel)
 		}
 		paths = append(paths, path)
-		l.register(path, dir)
+		l.dirOf[path] = dir
+		files, err := l.parseDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		l.parsed[dir] = files
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if ipath := strings.Trim(imp.Path.Value, `"`); !l.inModule(ipath) {
+					external[ipath] = true
+				}
+			}
+		}
+	}
+	if l.exports, err = exportFiles(root, external); err != nil {
+		return nil, err
 	}
 	var pkgs []*Package
 	for _, path := range paths {
-		pkg, err := l.Load(path)
+		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
@@ -103,18 +129,54 @@ func (l *Loader) LoadTree(root string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	// Load recurses into intra-module imports before checking the
+	// load recurses into intra-module imports before checking the
 	// importer, so type-checking order is topological regardless of the
 	// (sorted, deterministic) order packages are returned in.
 	return pkgs, nil
 }
 
-func (l *Loader) register(path, dir string) { l.dirOf[path] = dir }
+func (l *Loader) inModule(path string) bool {
+	return path == l.Module || strings.HasPrefix(path, l.Module+"/")
+}
 
-// Load parses and type-checks the package registered at path (and,
-// recursively, any intra-module dependencies). It returns nil for a
-// directory with no buildable Go files.
-func (l *Loader) Load(path string) (*Package, error) {
+// exportFiles runs `go list -export -deps` once, in dir, over the
+// given import paths and returns each listed package's export data
+// file.
+func exportFiles(dir string, paths map[string]bool) (map[string]string, error) {
+	exports := map[string]string{}
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Sorted(maps.Keys(paths))...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analyze: go list -export: %v\n%s", err, stderr.Bytes())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
+}
+
+// openExport opens the export data of the non-module import path.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("analyze: no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// load type-checks the package registered at path (and, recursively,
+// any intra-module dependencies). It returns nil for a directory with
+// no buildable Go files.
+func (l *Loader) load(path string) (*Package, error) {
 	if pkg, ok := l.checked[path]; ok {
 		return pkg, nil
 	}
@@ -122,10 +184,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("analyze: import %q is not under the loaded tree", path)
 	}
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
+	files := l.parsed[dir]
 	if len(files) == 0 {
 		l.checked[path] = nil
 		return nil, nil
@@ -133,9 +192,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 	// Check intra-module imports first so the importer below finds them.
 	for _, f := range files {
 		for _, imp := range f.Imports {
-			ipath := strings.Trim(imp.Path.Value, `"`)
-			if ipath == l.Module || strings.HasPrefix(ipath, l.Module+"/") {
-				if _, err := l.Load(ipath); err != nil {
+			if ipath := strings.Trim(imp.Path.Value, `"`); l.inModule(ipath) {
+				if _, err := l.load(ipath); err != nil {
 					return nil, err
 				}
 			}
@@ -159,10 +217,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 }
 
 // importPkg resolves an import for the type checker: module-local
-// packages from the loader's cache, everything else from GOROOT source.
+// packages from the loader's cache, everything else from export data.
 func (l *Loader) importPkg(path string) (*types.Package, error) {
-	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
-		pkg, err := l.Load(path)
+	if l.inModule(path) {
+		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
