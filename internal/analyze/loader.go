@@ -154,7 +154,7 @@ func exportFiles(dir string, paths map[string]bool) (map[string]string, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("analyze: go list -export: %v\n%s", err, stderr.Bytes())
+		return nil, fmt.Errorf("analyze: go list -export: %v\n%s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		if path, file, ok := strings.Cut(line, " "); ok && file != "" {

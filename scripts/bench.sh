@@ -88,14 +88,12 @@ go test -run '^$' -bench 'BenchmarkInjectRecovery|BenchmarkChaosCampaign' -bench
 ' >"$out"
 echo "bench: wrote $out"
 
-# Third pass: linter latency. Runs lvlint over the whole module twice —
-# once against an empty .lvlint-cache (cold: full parse + typecheck +
-# every registered analyzer) and once against the cache the cold run just
-# filled (warm: one content-hash probe and a cached-JSON replay). The
-# binary is built once so both numbers measure analysis, not compilation.
-# A per-check sweep then times each analyzer alone (cold, cache off) so a
-# regression in one check shows up as its own number instead of hiding
-# in the aggregate; CI holds every entry under a 10 s budget.
+# Third pass: linter latency. Runs lvlint once over the whole module
+# (parse, type-check against the standard library's export data, every
+# registered analyzer). The binary is built first so the number measures
+# analysis, not compilation. A per-check sweep then times each analyzer
+# alone so a regression in one check shows up as its own number instead
+# of hiding in the aggregate; CI holds every entry under a 10 s budget.
 out=BENCH_lint.json
 lintbin=$(mktemp -t lvlint.XXXXXX)
 trap 'rm -f "$lintbin"' EXIT
@@ -103,24 +101,21 @@ go build -o "$lintbin" ./cmd/lvlint
 
 now_ms() { date +%s%3N; }
 
-rm -rf .lvlint-cache
 t0=$(now_ms)
 "$lintbin" ./...
 t1=$(now_ms)
-"$lintbin" ./...
-t2=$(now_ms)
 
 per_check=""
 for check in $("$lintbin" -list | awk '{print $1}'); do
 	c0=$(now_ms)
-	"$lintbin" -no-cache -checks "$check" ./...
+	"$lintbin" -checks "$check" ./...
 	c1=$(now_ms)
 	[ -n "$per_check" ] && per_check="$per_check, "
 	per_check="$per_check\"$check\": $((c1 - c0))"
 done
 
-printf '{\n  "gomaxprocs": %s,\n  "cpus": %s,\n  "lvlint_cold_ms": %s,\n  "lvlint_warm_ms": %s,\n  "per_check_ms": {%s}\n}\n' \
-	"$gomaxprocs" "$cpus" "$((t1 - t0))" "$((t2 - t1))" "$per_check" >"$out"
+printf '{\n  "gomaxprocs": %s,\n  "cpus": %s,\n  "lvlint_cold_ms": %s,\n  "per_check_ms": {%s}\n}\n' \
+	"$gomaxprocs" "$cpus" "$((t1 - t0))" "$per_check" >"$out"
 echo "bench: wrote $out"
 
 # Fourth pass: the distributed-execution harness numbers.

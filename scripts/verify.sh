@@ -4,16 +4,13 @@
 #   gofmt  — every Go file outside testdata/ is gofmt-clean
 #   build  — everything compiles, including examples and testdata-free cmds
 #   vet    — stdlib vet checks
-#   lvlint — the repo's own analyzers (detflow, unitcheck, unitflow,
-#            exhaustive, errdrop, lockguard, lockbalance, deferloop,
-#            nopanic, the concflow concurrency suite: goleak,
-#            ctxflow, chanflow, wgbalance, sharedcapture, and the
-#            protocol checks: eventflow, serveflow, frameflow,
-#            hotalloc); nonzero exit on any finding
 #   test   — full unit/integration suite, shuffled (-shuffle=on) so
 #            order-dependent tests cannot hide behind file order; it
 #            includes the golden-file tests that pin the simulator's,
-#            every command's and every example's output bytes
+#            every command's and every example's output bytes, and
+#            cmd/lvlint's TestSelfLint, which runs the repo's own
+#            analyzers (all eighteen checks of `lvlint ./...`) over the
+#            module and fails on any finding
 #   perfbench — vet and test the benchmark harness module (its golden
 #            output digests), so a change to an internal API or output
 #            the benchmark depends on fails here, not in a benchmark run
@@ -58,9 +55,6 @@ go build ./...
 
 echo '== go vet ./...'
 go vet ./...
-
-echo '== go run ./cmd/lvlint ./...'
-go run ./cmd/lvlint ./...
 
 echo '== go test -shuffle=on ./...'
 go test -shuffle=on ./...
