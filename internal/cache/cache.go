@@ -362,9 +362,6 @@ func (c *Cache) SetMode(m Mode) {
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the event counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Flush invalidates every line (counting each valid line) and discards
 // dirty data. The paper flushes BBR caches on every downward voltage
 // transition; write-back callers needing the dirty lines should drain via

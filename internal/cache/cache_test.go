@@ -312,18 +312,6 @@ func TestStatsDerived(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := MustNew(L1Config("L1D"))
-	c.Access(0, false)
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero counters")
-	}
-	if !c.Probe(0) {
-		t.Error("ResetStats must not flush contents")
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if WriteThrough.String() != "write-through" || WriteBack.String() != "write-back" {
 		t.Error("WritePolicy.String broken")

@@ -13,7 +13,6 @@ package dvfs
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // OperatingPoint is one DVFS configuration: a supply voltage, the core
@@ -141,15 +140,6 @@ func lerp(x0, y0, x1, y1, x float64) float64 {
 
 func extrapolate(a, b OperatingPoint, v float64, f func(OperatingPoint) float64) float64 {
 	return lerp(float64(a.VoltageMV), f(a), float64(b.VoltageMV), f(b), v)
-}
-
-// Sorted returns the given points ordered by descending voltage without
-// modifying the input.
-func Sorted(points []OperatingPoint) []OperatingPoint {
-	out := make([]OperatingPoint, len(points))
-	copy(out, points)
-	sort.Slice(out, func(i, j int) bool { return out[i].VoltageMV > out[j].VoltageMV })
-	return out
 }
 
 // ScaleDynamicEnergy returns the factor by which per-event dynamic energy

@@ -134,17 +134,6 @@ func TestFreqExtrapolation(t *testing.T) {
 	}
 }
 
-func TestSorted(t *testing.T) {
-	in := []OperatingPoint{{VoltageMV: 400}, {VoltageMV: 760}, {VoltageMV: 520}}
-	out := Sorted(in)
-	if out[0].VoltageMV != 760 || out[1].VoltageMV != 520 || out[2].VoltageMV != 400 {
-		t.Errorf("Sorted = %v", out)
-	}
-	if in[0].VoltageMV != 400 {
-		t.Error("Sorted mutated its input")
-	}
-}
-
 func TestEnergyScaling(t *testing.T) {
 	nom := Nominal()
 	p400, _ := PointAt(400)

@@ -139,19 +139,6 @@ func (e *Engine) Run() error {
 	}
 }
 
-// RunUntil fires events with timestamps <= t, then advances Now to t.
-func (e *Engine) RunUntil(t Time) error {
-	for len(e.q) > 0 && e.q[0].at <= t {
-		if _, err := e.Step(); err != nil {
-			return err
-		}
-	}
-	if e.now < t {
-		e.now = t
-	}
-	return nil
-}
-
 // Clear drops every pending event without firing it. Used on abort so
 // no handler observes a half-torn-down hierarchy.
 func (e *Engine) Clear() { e.q = nil }

@@ -209,23 +209,3 @@ func (h *Histogram) Normalized() []float64 {
 	}
 	return out
 }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Geomean01 is a helper for ratios: it returns the geometric mean of xs
-// but tolerates zero values by substituting eps, which keeps normalized
-// metrics (where a perfect 0 can legitimately occur) finite.
-func Geomean01(xs []float64, eps float64) float64 {
-	cp := make([]float64, len(xs))
-	for i, x := range xs {
-		if x < eps {
-			x = eps
-		}
-		cp[i] = x
-	}
-	return GeoMean(cp)
-}

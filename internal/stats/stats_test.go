@@ -198,9 +198,6 @@ func TestHistogram(t *testing.T) {
 	if !almostEqual(sum, 1, 1e-12) {
 		t.Errorf("normalized sum = %v, want 1", sum)
 	}
-	if got := h.BinCenter(0); !almostEqual(got, 0.125, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
 }
 
 func TestHistogramEmptyNormalized(t *testing.T) {
@@ -248,13 +245,5 @@ func TestHistogramTotalPreservedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeomean01(t *testing.T) {
-	got := Geomean01([]float64{0, 4}, 1e-3)
-	want := math.Sqrt(1e-3 * 4)
-	if !almostEqual(got, want, 1e-12) {
-		t.Errorf("Geomean01 = %v, want %v", got, want)
 	}
 }
