@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dvfs"
 )
 
 func TestNewIsFaultFree(t *testing.T) {
@@ -153,15 +155,88 @@ func TestChunksPartitionProperty(t *testing.T) {
 	}
 }
 
+// The rate checks draw statMaps fixed-seed maps of statWords words at
+// every non-zero Table II Pfail, so each voltage counts defects over
+// 2^19 words. If the generator is right, the count is Binomial(2^19, q)
+// with q = 1-(1-p)^32, and it falls outside binomialWindow with
+// probability at most statAlpha: each check raises a false alarm at most
+// once in a million seedings. The widest window (q = 0.275 at 400 mV) is
+// about ±0.003 in the defective fraction.
+const (
+	statMaps  = 64
+	statWords = 8192
+	statAlpha = 1e-6
+)
+
 func TestGenerateStatistics(t *testing.T) {
-	// At per-bit p = 1e-2, ~27.5% of words should be defective.
-	rng := rand.New(rand.NewSource(1))
-	m := Generate(8192, 1e-2, rng)
-	frac := float64(m.CountDefective()) / 8192
-	want := 1 - math.Pow(0.99, 32)
-	if math.Abs(frac-want) > 0.03 {
-		t.Errorf("defective fraction = %.3f, want ~%.3f", frac, want)
+	for _, op := range dvfs.OperatingPoints() {
+		if op.PfailBit == 0 {
+			continue
+		}
+		defective := 0
+		for seed := int64(1); seed <= statMaps; seed++ {
+			defective += Generate(statWords, op.PfailBit, rand.New(rand.NewSource(seed))).CountDefective()
+		}
+		checkWordDefectRate(t, "Generate", op, defective)
 	}
+}
+
+// checkWordDefectRate fails when defective, the count over
+// statMaps*statWords words at op, lies outside the exact binomial
+// window around 1-(1-p)^32.
+func checkWordDefectRate(t *testing.T, what string, op dvfs.OperatingPoint, defective int) {
+	t.Helper()
+	n := statMaps * statWords
+	q := 1 - math.Pow(1-op.PfailBit, 32)
+	lo, hi := binomialWindow(n, q, statAlpha)
+	if defective < lo || defective > hi {
+		t.Errorf("%s at %d mV (Pfail %.3g): %d of %d words defective, want [%d, %d] (q = %.5f, false-alarm rate %g)",
+			what, op.VoltageMV, op.PfailBit, defective, n, lo, hi, q, statAlpha)
+	}
+}
+
+// binomialWindow returns the widest [lo, hi] with P(K < lo) <= alpha/2
+// and P(K > hi) <= alpha/2 for K ~ Binomial(n, q), 0 < q < 1. It sums
+// the exact pmf, stepped out from the mode by the ratio of successive
+// terms until a term falls below 1e-300 of the total.
+func binomialWindow(n int, q, alpha float64) (lo, hi int) {
+	mode := int(float64(n+1) * q)
+	if mode > n {
+		mode = n
+	}
+	lgN, _ := math.Lgamma(float64(n + 1))
+	lgK, _ := math.Lgamma(float64(mode + 1))
+	lgNK, _ := math.Lgamma(float64(n - mode + 1))
+	peak := math.Exp(lgN - lgK - lgNK + float64(mode)*math.Log(q) + float64(n-mode)*math.Log1p(-q))
+	odds := q / (1 - q)
+	below := []float64{} // pmf(mode-1), pmf(mode-2), ...
+	for k, pk := mode, peak; k > 0; k-- {
+		if pk *= float64(k) / float64(n-k+1) / odds; pk < 1e-300 {
+			break
+		}
+		below = append(below, pk)
+	}
+	above := []float64{} // pmf(mode+1), pmf(mode+2), ...
+	for k, pk := mode, peak; k < n; k++ {
+		if pk *= float64(n-k) / float64(k+1) * odds; pk < 1e-300 {
+			break
+		}
+		above = append(above, pk)
+	}
+	lo, hi = mode-len(below), mode+len(above)
+	for tail, i := 0.0, len(below)-1; i >= 0; i-- {
+		if tail += below[i]; tail > alpha/2 {
+			break
+		}
+		lo++
+	}
+	for tail, i := 0.0, len(above)-1; i >= 0; i-- {
+		if tail += above[i]; tail > alpha/2 {
+			break
+		}
+		hi--
+	}
+	return lo, hi
 }
 
 func TestGenerateExtremes(t *testing.T) {
@@ -200,15 +275,24 @@ func TestSeriesNesting(t *testing.T) {
 	}
 }
 
+// TestSeriesMatchesDirectGeneration checks that the per-word
+// min-of-32-uniforms shortcut gives every map the marginal defect rate
+// Generate draws: 1-(1-p)^32 at every non-zero Table II Pfail, within
+// the same exact binomial window.
 func TestSeriesMatchesDirectGeneration(t *testing.T) {
-	// The per-word min-of-32-uniforms shortcut must give the same marginal
-	// defect rate as per-bit generation.
-	s := NewSeries(20000, rand.New(rand.NewSource(4)))
-	p := 1e-2
-	frac := float64(s.MapAt(p).CountDefective()) / 20000
-	want := 1 - math.Pow(1-p, 32)
-	if math.Abs(frac-want) > 0.02 {
-		t.Errorf("series defect fraction = %.4f, want ~%.4f", frac, want)
+	series := make([]*Series, statMaps)
+	for i := range series {
+		series[i] = NewSeries(statWords, rand.New(rand.NewSource(int64(i+1))))
+	}
+	for _, op := range dvfs.OperatingPoints() {
+		if op.PfailBit == 0 {
+			continue
+		}
+		defective := 0
+		for _, s := range series {
+			defective += s.MapAt(op.PfailBit).CountDefective()
+		}
+		checkWordDefectRate(t, "Series.MapAt", op, defective)
 	}
 }
 
