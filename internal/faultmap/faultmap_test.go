@@ -264,12 +264,11 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestSeriesNesting(t *testing.T) {
 	// Maps at decreasing voltage (increasing pfail) must be nested.
 	s := NewSeries(4096, rand.New(rand.NewSource(3)))
-	pfails := []float64{1e-4, 1e-3, math.Pow(10, -2.5), 1e-2}
 	var prev *Map
-	for _, p := range pfails {
-		m := s.MapAt(p)
+	for _, op := range dvfs.OperatingPoints() {
+		m := s.MapAt(op.PfailBit)
 		if prev != nil && !m.Subsumes(prev) {
-			t.Errorf("map at p=%v does not subsume map at lower p", p)
+			t.Errorf("map at %d mV does not subsume the map at the next higher voltage", op.VoltageMV)
 		}
 		prev = m
 	}
