@@ -84,7 +84,7 @@ func ModulePath(dir string) (string, error) {
 
 // LoadTree loads every package under root (the module root), skipping
 // testdata, hidden directories and _test.go files, and returns the
-// packages in sorted import-path order.
+// packages in directory order.
 func (l *Loader) LoadTree(root string) ([]*Package, error) {
 	dirs, err := goDirs(root)
 	if err != nil {
