@@ -195,15 +195,12 @@ func checkWordDefectRate(t *testing.T, what string, op dvfs.OperatingPoint, defe
 	}
 }
 
-// binomialWindow returns the widest [lo, hi] with P(K < lo) <= alpha/2
+// binomialWindow returns the narrowest [lo, hi] with P(K < lo) <= alpha/2
 // and P(K > hi) <= alpha/2 for K ~ Binomial(n, q), 0 < q < 1. It sums
 // the exact pmf, stepped out from the mode by the ratio of successive
-// terms until a term falls below 1e-300 of the total.
+// terms until a term falls below 1e-300.
 func binomialWindow(n int, q, alpha float64) (lo, hi int) {
 	mode := int(float64(n+1) * q)
-	if mode > n {
-		mode = n
-	}
 	lgN, _ := math.Lgamma(float64(n + 1))
 	lgK, _ := math.Lgamma(float64(mode + 1))
 	lgNK, _ := math.Lgamma(float64(n - mode + 1))
