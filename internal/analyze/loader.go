@@ -135,6 +135,7 @@ func (l *Loader) LoadTree(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// inModule reports whether path names a package of the loaded module.
 func (l *Loader) inModule(path string) bool {
 	return path == l.Module || strings.HasPrefix(path, l.Module+"/")
 }
