@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/bbr"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/faultmap"
 	"repro/internal/ffw"
-	"repro/internal/inject"
 	"repro/internal/program"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -186,33 +184,6 @@ func BenchmarkFig12EPI(b *testing.B) {
 		}
 	}
 	b.ReportMetric(reduction, "epi-reduction-%")
-}
-
-// BenchmarkFig10GridWorkers measures the experiment engine's wall-clock
-// scaling: the same reduced Figures 10–12 grid at one worker versus the
-// machine's full width. Each iteration gets a fresh engine — reusing one
-// would turn every iteration after the first into pure memo hits and
-// measure nothing. The two sub-benchmarks' ns/op ratio is the engine's
-// speedup on this machine (≈1 on a single-core host).
-func BenchmarkFig10GridWorkers(b *testing.B) {
-	cfg := sim.QuickConfig()
-	cfg.Instructions = 60_000
-	benchmarks := []string{"basicmath", "qsort"}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ops := []dvfs.OperatingPoint{opAt(b, 560), opAt(b, 400)}
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine(workers)
-				cells, err := eng.Evaluate(context.Background(), cfg, sim.EvalSchemes(), benchmarks, ops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cells) != len(sim.EvalSchemes())*len(ops) {
-					b.Fatalf("grid has %d cells", len(cells))
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationWindowPlacement compares FFW's two window placement
@@ -441,68 +412,6 @@ func BenchmarkAblationLinkerFit(b *testing.B) {
 	b.ReportMetric(bfMiss, "bestfit-miss-per-1k")
 }
 
-// BenchmarkInjectRecovery measures the detection/recovery tax on the
-// FFW+BBR run path: the same die and workload with the runtime fault
-// layer disabled versus injecting at intensity 5 at 400 mV. Each
-// sub-benchmark reports the simulated recovery time (RecoveryCycles at
-// the operating point's clock period) as recovery-ns; scripts/bench.sh
-// records the paired on-minus-off delta in BENCH_inject.json. Wall
-// clock is deliberately not used for the delta — the two runs differ
-// by milliseconds of OS noise, which used to drive the recorded
-// overhead negative, while the simulated cycle count is exact and
-// identical on every run of the same seeds.
-func BenchmarkInjectRecovery(b *testing.B) {
-	op := opAt(b, 400)
-	cases := []struct {
-		name   string
-		params inject.Params
-	}{
-		{"inject=off", inject.Params{}},
-		{"inject=on", inject.Params{Seed: 9, Intensity: 5}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var recovery float64
-			for i := 0; i < b.N; i++ {
-				r, err := sim.RunContext(context.Background(), sim.RunSpec{
-					Scheme: sim.FFWBBR, Benchmark: "qsort", Op: op,
-					MapSeed: 1, WorkSeed: 1, Instructions: 60_000,
-					CPU: cpu.DefaultConfig(), Inject: c.params,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				recovery = r.RecoveryCycles
-			}
-			b.ReportMetric(recovery, "recovery-cycles")
-			b.ReportMetric(recovery*op.Period(), "recovery-ns")
-		})
-	}
-}
-
-// BenchmarkChaosCampaign measures fault-injection campaign throughput:
-// a ten-epoch back-off campaign per iteration, with the controller
-// transition counts as sanity metrics.
-func BenchmarkChaosCampaign(b *testing.B) {
-	spec := sim.ChaosSpec{
-		Benchmark: "qsort", DieSeed: 3, WorkSeed: 1,
-		Inject:  inject.Params{Seed: 9, Intensity: 5},
-		StartMV: 400, Epochs: 10, EpochInstructions: 30_000,
-		CPU:     cpu.DefaultConfig(),
-		Backoff: dvfs.BackoffConfig{UpThreshold: 3, DownThreshold: 2, StableEpochs: 2},
-	}
-	var ups, downs float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.NewEngine(1).RunChaos(context.Background(), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ups, downs = float64(res.StepUps), float64(res.StepDowns)
-	}
-	b.ReportMetric(ups, "step-ups")
-	b.ReportMetric(downs, "step-downs")
-}
-
 // BenchmarkAblationReplacement compares the L1 victim policies on the
 // paper's geometry: Table I specifies true LRU; tree pseudo-LRU is what
 // hardware builds; FIFO is the lower bound. Miss rates per 1000 accesses
@@ -532,31 +441,4 @@ func BenchmarkAblationReplacement(b *testing.B) {
 	b.ReportMetric(lru, "lru-miss-per-1k")
 	b.ReportMetric(plru, "plru-miss-per-1k")
 	b.ReportMetric(fifo, "fifo-miss-per-1k")
-}
-
-// BenchmarkHierContention drives the event-driven multicore hierarchy:
-// two FFW+BBR cores on distinct voltage domains contending for the
-// shared L2 (per-core fault maps, write-buffer drains, MSHR merges).
-// Reports kernel throughput and the L2's mean contention wait — the
-// shared-L2 contention experiment of BENCH_event.json.
-func BenchmarkHierContention(b *testing.B) {
-	spec := sim.HierSpec{
-		Scheme: sim.FFWBBR, Instructions: 30_000, CPU: cpu.DefaultConfig(),
-		Cores: []sim.HierCoreSpec{
-			{Benchmark: "qsort", MV: 400, MapSeed: 3, WorkSeed: 1},
-			{Benchmark: "dijkstra", MV: 560, MapSeed: 4, WorkSeed: 2},
-		},
-	}
-	var events uint64
-	var wait float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunHierarchy(context.Background(), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-		wait = res.L2.MeanReadWaitCycles(dvfs.Nominal())
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(wait, "L2-wait-cy")
 }

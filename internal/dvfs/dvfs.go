@@ -27,9 +27,6 @@ type OperatingPoint struct {
 // Voltage returns the supply voltage in volts.
 func (p OperatingPoint) Voltage() float64 { return float64(p.VoltageMV) / 1000 }
 
-// Period returns the clock period in nanoseconds.
-func (p OperatingPoint) Period() float64 { return 1e3 / p.FreqMHz }
-
 // String implements fmt.Stringer.
 func (p OperatingPoint) String() string {
 	return fmt.Sprintf("%dmV/%.0fMHz", p.VoltageMV, p.FreqMHz)

@@ -85,13 +85,9 @@ func TestPointAt(t *testing.T) {
 	}
 }
 
-func TestPeriodAndVoltage(t *testing.T) {
-	p := Nominal()
-	if got, want := p.Voltage(), 0.760; math.Abs(got-want) > 1e-12 {
+func TestVoltage(t *testing.T) {
+	if got, want := Nominal().Voltage(), 0.760; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Voltage = %v, want %v", got, want)
-	}
-	if got, want := p.Period(), 1e3/1607; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Period = %v, want %v", got, want)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestMapExternalCancellation(t *testing.T) {
 }
 
 func TestMemoComputesOncePerKey(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	computes := 0
 	fn := func() (int, error) { computes++; return 42, nil }
 	for i := 0; i < 3; i++ {
@@ -214,7 +214,7 @@ func TestMemoComputesOncePerKey(t *testing.T) {
 }
 
 func TestMemoSingleflight(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	var computes atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -243,7 +243,7 @@ func TestMemoSingleflight(t *testing.T) {
 }
 
 func TestMemoCachesErrors(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	boom := errors.New("deterministic failure")
 	computes := 0
 	for i := 0; i < 2; i++ {
@@ -261,7 +261,7 @@ func TestMemoCachesErrors(t *testing.T) {
 }
 
 func TestMemoDoesNotCacheCancellation(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	calls := 0
 	fn := func() (int, error) {
 		calls++
@@ -283,7 +283,7 @@ func TestMemoDoesNotCacheCancellation(t *testing.T) {
 }
 
 func TestMemoWaiterHonoursItsContext(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	release := make(chan struct{})
 	inFlight := make(chan struct{})
 	go func() {
@@ -303,7 +303,7 @@ func TestMemoWaiterHonoursItsContext(t *testing.T) {
 }
 
 func TestMemoPanicNotCached(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemoConfig(MemoConfig[string, int]{})
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -18,42 +18,39 @@ import (
 // baseline shared by several figures, say — is never simulated twice on
 // the same engine.
 //
-// A Memo built with NewMemo caches forever, which is the right shape
-// for a one-shot CLI sweep but leaks one entry per distinct key in a
-// long-lived process. NewMemoConfig bounds the table: entry and
-// byte-size caps enforced by LRU eviction of *completed* entries
-// (an in-flight computation is pinned — evicting it would break the
-// singleflight contract), optionally sharded with per-shard locks so a
-// serving layer's hot path does not serialize on one mutex.
+// A zero MemoConfig caches forever, which is the right shape for a
+// one-shot CLI sweep but leaks one entry per distinct key in a
+// long-lived process. The config's caps bound the table by LRU eviction
+// of *completed* entries (an in-flight computation is pinned — evicting
+// it would break the singleflight contract).
 type Memo[K comparable, V any] struct {
-	cfg    MemoConfig[K, V]
-	shards []*memoShard[K, V]
+	cfg MemoConfig[K, V]
+
+	mu sync.Mutex
+	// m maps each key to its single computation. guarded by mu
+	m map[K]*flight[K, V]
+	// head/tail are the LRU list of completed entries (head most
+	// recent). In-flight entries are not linked. guarded by mu
+	head, tail *flight[K, V]
+	// bytes sums completed entry sizes. guarded by mu
+	bytes int64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	bytes     atomic.Int64
 }
 
-// MemoConfig bounds and shards a Memo. The zero value reproduces
-// NewMemo: one shard, no caps, errors other than cancellation cached.
+// MemoConfig bounds a Memo. The zero value has no caps and caches every
+// error other than cancellation.
 type MemoConfig[K comparable, V any] struct {
 	// MaxEntries caps the table's completed+in-flight entry count;
-	// 0 means unbounded. With S shards the cap is split evenly, so a
-	// pathological key distribution can evict slightly early — never
-	// late. In-flight entries count against the cap but are never
-	// evicted, so a burst of distinct in-flight keys may transiently
-	// exceed it.
+	// 0 means unbounded. In-flight entries count against the cap but
+	// are never evicted, so a burst of distinct in-flight keys may
+	// transiently exceed it.
 	MaxEntries int
 	// MaxBytes caps the total Size of completed entries; 0 means
 	// unbounded. Requires Size.
 	MaxBytes int64
-	// Shards is the number of independently locked shards; <= 1 means
-	// one. Requires Hash when > 1.
-	Shards int
-	// Hash maps a key to its shard. Only consulted when Shards > 1; it
-	// must be a pure function of the key.
-	Hash func(K) uint64
 	// Size reports the retained size of a completed entry for the
 	// MaxBytes cap. Only consulted when MaxBytes > 0.
 	Size func(K, V) int64
@@ -65,23 +62,8 @@ type MemoConfig[K comparable, V any] struct {
 	KeepErr func(error) bool
 }
 
-// memoShard is one independently locked slice of the table.
-type memoShard[K comparable, V any] struct {
-	mu sync.Mutex
-	// m maps each key to its single computation. guarded by mu
-	m map[K]*flight[K, V]
-	// head/tail are the LRU list of completed entries (head most
-	// recent). In-flight entries are not linked. guarded by mu
-	head, tail *flight[K, V]
-	// bytes sums completed entry sizes. guarded by mu
-	bytes int64
-
-	maxEntries int
-	maxBytes   int64
-}
-
 // flight is one per-key computation; done closes when val/err are set.
-// complete and the list links are guarded by the owning shard's mu.
+// complete and the list links are guarded by the Memo's mu.
 type flight[K comparable, V any] struct {
 	key  K
 	done chan struct{}
@@ -93,56 +75,15 @@ type flight[K comparable, V any] struct {
 	prev, next *flight[K, V]
 }
 
-// NewMemo returns an unbounded memoization table (one shard, no caps) —
-// the CLI-sweep shape, where the process ends before growth matters.
-func NewMemo[K comparable, V any]() *Memo[K, V] {
-	return NewMemoConfig(MemoConfig[K, V]{})
-}
-
-// NewMemoConfig returns a memoization table bounded and sharded per
-// cfg. It panics on an inconsistent configuration (Shards > 1 without
-// Hash, MaxBytes > 0 without Size): these are programming errors, not
-// runtime conditions.
+// NewMemoConfig returns a memoization table bounded per cfg. It panics
+// when MaxBytes > 0 comes without Size: that is a programming error,
+// not a runtime condition.
 func NewMemoConfig[K comparable, V any](cfg MemoConfig[K, V]) *Memo[K, V] {
-	if cfg.Shards <= 1 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > 1 && cfg.Hash == nil {
-		//lvlint:ignore nopanic constructor config guard: a sharded memo without a hash cannot place keys
-		panic("engine: MemoConfig.Shards > 1 requires Hash")
-	}
 	if cfg.MaxBytes > 0 && cfg.Size == nil {
 		//lvlint:ignore nopanic constructor config guard: a byte-capped memo without a sizer cannot account
 		panic("engine: MemoConfig.MaxBytes > 0 requires Size")
 	}
-	m := &Memo[K, V]{cfg: cfg, shards: make([]*memoShard[K, V], cfg.Shards)}
-	perEntries, perBytes := cfg.MaxEntries, cfg.MaxBytes
-	if cfg.Shards > 1 {
-		// Split caps evenly, rounding up so S shards never cap below
-		// the requested totals' reachable floor.
-		if perEntries > 0 {
-			perEntries = (perEntries + cfg.Shards - 1) / cfg.Shards
-		}
-		if perBytes > 0 {
-			perBytes = (perBytes + int64(cfg.Shards) - 1) / int64(cfg.Shards)
-		}
-	}
-	for i := range m.shards {
-		m.shards[i] = &memoShard[K, V]{
-			m:          make(map[K]*flight[K, V]),
-			maxEntries: perEntries,
-			maxBytes:   perBytes,
-		}
-	}
-	return m
-}
-
-// shard returns the shard owning key.
-func (m *Memo[K, V]) shard(key K) *memoShard[K, V] {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	return m.shards[m.cfg.Hash(key)%uint64(len(m.shards))]
+	return &Memo[K, V]{cfg: cfg, m: make(map[K]*flight[K, V])}
 }
 
 // Do returns the memoized result for key, computing it with fn on the
@@ -155,13 +96,12 @@ func (m *Memo[K, V]) shard(key K) *memoShard[K, V] {
 // A completed entry may later be evicted under the configured caps, in
 // which case the next Do recomputes it (a fresh miss).
 func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, error) {
-	s := m.shard(key)
-	s.mu.Lock()
-	if f, ok := s.m[key]; ok {
+	m.mu.Lock()
+	if f, ok := m.m[key]; ok {
 		if f.complete {
-			s.moveToFront(f)
+			m.moveToFront(f)
 		}
-		s.mu.Unlock()
+		m.mu.Unlock()
 		m.hits.Add(1)
 		select {
 		case <-f.done:
@@ -172,8 +112,8 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, er
 		}
 	}
 	f := &flight[K, V]{key: key, done: make(chan struct{})}
-	s.m[key] = f
-	s.mu.Unlock()
+	m.m[key] = f
+	m.mu.Unlock()
 	m.misses.Add(1)
 
 	defer func() {
@@ -183,7 +123,7 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, er
 			// continue into the scheduler's containment (Map wraps it
 			// in a *PanicError and cancels the run).
 			f.err = &PanicError{Value: r, Stack: debug.Stack()}
-			s.forget(key, f)
+			m.forget(key, f)
 			close(f.done)
 			//lvlint:ignore nopanic re-propagating a contained job panic so engine.Map can report it
 			panic(r)
@@ -191,9 +131,9 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, er
 	}()
 	f.val, f.err = fn()
 	if f.err != nil && !m.keepErr(f.err) {
-		s.forget(key, f)
+		m.forget(key, f)
 	} else {
-		m.commit(s, f)
+		m.commit(f)
 	}
 	close(f.done)
 	return f.val, f.err
@@ -214,38 +154,36 @@ func (m *Memo[K, V]) keepErr(err error) bool {
 // and evicts over-cap entries. The flight may have been forgotten by a
 // concurrent panic path only for its own goroutine, so presence in the
 // map is re-checked under the lock.
-func (m *Memo[K, V]) commit(s *memoShard[K, V], f *flight[K, V]) {
+func (m *Memo[K, V]) commit(f *flight[K, V]) {
 	var size int64
 	if m.cfg.Size != nil && f.err == nil {
 		size = m.cfg.Size(f.key, f.val)
 	}
-	s.mu.Lock()
-	if s.m[f.key] != f {
-		s.mu.Unlock()
+	m.mu.Lock()
+	if m.m[f.key] != f {
+		m.mu.Unlock()
 		return
 	}
 	f.complete = true
 	f.size = size
-	s.bytes += size
-	m.bytes.Add(size)
-	s.pushFront(f)
-	m.evictLocked(s)
-	s.mu.Unlock()
+	m.bytes += size
+	m.pushFront(f)
+	m.evictLocked()
+	m.mu.Unlock()
 }
 
 // evictLocked drops least-recently-used completed entries until the
-// shard is back under its caps. In-flight entries are never evicted:
-// they are not in the LRU list, so a shard whose population is all
-// in-flight simply overshoots until computations finish.
-func (m *Memo[K, V]) evictLocked(s *memoShard[K, V]) {
-	for s.tail != nil &&
-		((s.maxEntries > 0 && len(s.m) > s.maxEntries) ||
-			(s.maxBytes > 0 && s.bytes > s.maxBytes)) {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.m, victim.key)
-		s.bytes -= victim.size
-		m.bytes.Add(-victim.size)
+// table is back under its caps. In-flight entries are never evicted:
+// they are not in the LRU list, so a table whose population is all
+// in-flight simply overshoots until computations finish. caller holds mu.
+func (m *Memo[K, V]) evictLocked() {
+	for m.tail != nil &&
+		((m.cfg.MaxEntries > 0 && len(m.m) > m.cfg.MaxEntries) ||
+			(m.cfg.MaxBytes > 0 && m.bytes > m.cfg.MaxBytes)) {
+		victim := m.tail
+		m.unlink(victim)
+		delete(m.m, victim.key)
+		m.bytes -= victim.size
 		m.evictions.Add(1)
 	}
 }
@@ -254,49 +192,49 @@ func (m *Memo[K, V]) evictLocked(s *memoShard[K, V]) {
 // still maps to this flight — an evicted-and-replaced key belongs to
 // its new computation. Only in-flight entries reach here (the error and
 // panic paths run before commit), so no LRU or byte accounting applies.
-func (s *memoShard[K, V]) forget(key K, f *flight[K, V]) {
-	s.mu.Lock()
-	if s.m[key] == f {
-		delete(s.m, key)
+func (m *Memo[K, V]) forget(key K, f *flight[K, V]) {
+	m.mu.Lock()
+	if m.m[key] == f {
+		delete(m.m, key)
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 }
 
 // pushFront links f as the most recently used completed entry.
 // caller holds mu.
-func (s *memoShard[K, V]) pushFront(f *flight[K, V]) {
-	f.prev, f.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = f
+func (m *Memo[K, V]) pushFront(f *flight[K, V]) {
+	f.prev, f.next = nil, m.head
+	if m.head != nil {
+		m.head.prev = f
 	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
+	m.head = f
+	if m.tail == nil {
+		m.tail = f
 	}
 }
 
 // unlink removes f from the LRU list. caller holds mu.
-func (s *memoShard[K, V]) unlink(f *flight[K, V]) {
+func (m *Memo[K, V]) unlink(f *flight[K, V]) {
 	if f.prev != nil {
 		f.prev.next = f.next
-	} else if s.head == f {
-		s.head = f.next
+	} else if m.head == f {
+		m.head = f.next
 	}
 	if f.next != nil {
 		f.next.prev = f.prev
-	} else if s.tail == f {
-		s.tail = f.prev
+	} else if m.tail == f {
+		m.tail = f.prev
 	}
 	f.prev, f.next = nil, nil
 }
 
 // moveToFront marks f most recently used. caller holds mu.
-func (s *memoShard[K, V]) moveToFront(f *flight[K, V]) {
-	if s.head == f {
+func (m *Memo[K, V]) moveToFront(f *flight[K, V]) {
+	if m.head == f {
 		return
 	}
-	s.unlink(f)
-	s.pushFront(f)
+	m.unlink(f)
+	m.pushFront(f)
 }
 
 // Hits counts Do calls that were served by (or waited on) an existing
@@ -312,15 +250,15 @@ func (m *Memo[K, V]) Evictions() int64 { return m.evictions.Load() }
 
 // SizeBytes returns the total configured Size of completed entries
 // currently cached (always 0 without a Size func).
-func (m *Memo[K, V]) SizeBytes() int64 { return m.bytes.Load() }
+func (m *Memo[K, V]) SizeBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bytes
+}
 
 // Len returns the number of cached (or in-flight) keys.
 func (m *Memo[K, V]) Len() int {
-	n := 0
-	for _, s := range m.shards {
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
 }

@@ -186,8 +186,15 @@ func TestGenerateStatistics(t *testing.T) {
 // window around 1-(1-p)^32.
 func checkWordDefectRate(t *testing.T, what string, op dvfs.OperatingPoint, defective int) {
 	t.Helper()
+	checkDefectRate(t, what, op, 1-math.Pow(1-op.PfailBit, 32), defective)
+}
+
+// checkDefectRate fails when defective, the count over
+// statMaps*statWords words at op, lies outside the exact binomial
+// window around the per-word defect probability q.
+func checkDefectRate(t *testing.T, what string, op dvfs.OperatingPoint, q float64, defective int) {
+	t.Helper()
 	n := statMaps * statWords
-	q := 1 - math.Pow(1-op.PfailBit, 32)
 	lo, hi := binomialWindow(n, q, statAlpha)
 	if defective < lo || defective > hi {
 		t.Errorf("%s at %d mV (Pfail %.3g): %d of %d words defective, want [%d, %d] (q = %.5f, false-alarm rate %g)",

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dvfs"
 	"repro/internal/sram"
 )
 
@@ -69,15 +70,23 @@ func TestSingleBitFailProb(t *testing.T) {
 	}
 }
 
+// TestGenerateSECDEDStatistics draws SECDED maps at every non-zero
+// Table II Pfail, as TestGenerateStatistics does, and checks the
+// uncorrectable-word count against two or more of a word's 32 bits
+// failing, the rate MultiBitFailProb claims.
 func TestGenerateSECDEDStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := GenerateSECDED(40000, 1e-2, rng)
-	frac := float64(m.CountDefective()) / 40000
-	want := MultiBitFailProb(1e-2)
-	if math.Abs(frac-want) > 0.005 {
-		t.Errorf("SECDED defect fraction = %.4f, want ~%.4f", frac, want)
+	for _, op := range dvfs.OperatingPoints() {
+		p := op.PfailBit
+		if p == 0 {
+			continue
+		}
+		defective := 0
+		for seed := int64(1); seed <= statMaps; seed++ {
+			defective += GenerateSECDED(statWords, p, rand.New(rand.NewSource(seed))).CountDefective()
+		}
+		checkDefectRate(t, "GenerateSECDED", op, 1-math.Pow(1-p, 32)-32*p*math.Pow(1-p, 31), defective)
 	}
-	if clean := GenerateSECDED(100, 0, rng); clean.CountDefective() != 0 {
+	if clean := GenerateSECDED(100, 0, rand.New(rand.NewSource(1))); clean.CountDefective() != 0 {
 		t.Error("p=0 must give a clean map")
 	}
 }

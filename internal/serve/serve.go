@@ -14,7 +14,7 @@
 // Determinism is the service contract: a request body is canonicalized
 // (strict decode + re-encode, so key order and whitespace cannot split
 // one logical spec across cache entries) and the canonical hash keys a
-// sharded, bounded LRU response cache with singleflight semantics.
+// bounded LRU response cache with singleflight semantics.
 // Identical requests therefore return byte-identical bodies at any
 // server concurrency, and a thundering herd on one grid simulates
 // exactly once — observable via the per-kind compute counters on
@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -55,9 +54,6 @@ var kinds = []string{kindEval, kindSweep, kindChaos, kindHier, kindDie}
 // maxBodyBytes bounds a request body; specs are small, and an unbounded
 // read is an invitation to memory exhaustion.
 const maxBodyBytes = 1 << 20
-
-// cacheShards is the response cache's lock-striping width.
-const cacheShards = 8
 
 // Config tunes the server. The zero value of every field selects a
 // sensible default, so Config{} is a working single-host server.
@@ -194,12 +190,6 @@ func New(cfg Config) *Server {
 	s.cache = engine.NewMemoConfig(engine.MemoConfig[string, []byte]{
 		MaxEntries: cfg.CacheEntries,
 		MaxBytes:   cfg.CacheBytes,
-		Shards:     cacheShards,
-		Hash: func(key string) uint64 {
-			h := fnv.New64a()
-			_, _ = h.Write([]byte(key)) // hash.Hash.Write never fails
-			return h.Sum64()
-		},
 		Size: func(key string, body []byte) int64 {
 			return int64(len(key) + len(body))
 		},
