@@ -2,8 +2,11 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -170,4 +173,66 @@ func TestChaosCampaignValidatesUpFront(t *testing.T) {
 	if done != nil {
 		t.Fatalf("done = %v, want nil: no job may run", done)
 	}
+}
+
+// TestBuildForcingUp drives the yield-failure escape hatch with a fake
+// build: no built-in benchmark reaches it, since BBR covers every die
+// the campaigns draw.
+func TestBuildForcingUp(t *testing.T) {
+	t.Run("forced-up-to-first-coverable-point", func(t *testing.T) {
+		backoff, err := dvfs.NewBackoff(dvfs.DefaultBackoffConfig(), 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tried []int
+		err = buildForcingUp(backoff, "die 7", func(op dvfs.OperatingPoint) error {
+			tried = append(tried, op.VoltageMV)
+			if op.VoltageMV < 480 {
+				return fmt.Errorf("map at %d mV: %w", op.VoltageMV, ErrYield)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := backoff.Current().VoltageMV; got != 480 {
+			t.Fatalf("controller at %d mV, want 480", got)
+		}
+		if backoff.StepUps() != 2 {
+			t.Fatalf("StepUps() = %d, want 2", backoff.StepUps())
+		}
+		if !reflect.DeepEqual(tried, []int{400, 440, 480}) {
+			t.Fatalf("built at %v mV, want [400 440 480]", tried)
+		}
+	})
+	t.Run("uncoverable-at-the-top", func(t *testing.T) {
+		backoff, err := dvfs.NewBackoff(dvfs.DefaultBackoffConfig(), 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = buildForcingUp(backoff, "core 1 die 7", func(op dvfs.OperatingPoint) error {
+			return ErrYield
+		})
+		if !errors.Is(err, ErrYield) {
+			t.Fatalf("error %v does not wrap ErrYield", err)
+		}
+		for _, want := range []string{"core 1 die 7", "760 mV"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+	})
+	t.Run("other-errors-pass-through", func(t *testing.T) {
+		backoff, err := dvfs.NewBackoff(dvfs.DefaultBackoffConfig(), 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boom := errors.New("boom")
+		if err := buildForcingUp(backoff, "die 7", func(dvfs.OperatingPoint) error { return boom }); err != boom {
+			t.Fatalf("error %v, want the build's own error", err)
+		}
+		if backoff.StepUps() != 0 {
+			t.Fatalf("StepUps() = %d after a non-yield error, want 0", backoff.StepUps())
+		}
+	})
 }
