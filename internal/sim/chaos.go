@@ -12,6 +12,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/faultmap"
 	"repro/internal/ffw"
+	"repro/internal/hier"
 	"repro/internal/inject"
 	"repro/internal/program"
 	"repro/internal/workload"
@@ -56,25 +57,34 @@ func (s ChaosSpec) Validate() error {
 			return err
 		}
 	}
+	if err := validateCampaign("chaos campaign", s.Epochs, s.EpochInstructions, s.Inject, s.Backoff); err != nil {
+		return err
+	}
+	return validateDie(s.StartMV, s.Benchmark)
+}
+
+// validateCampaign checks the fields every chaos campaign shares; kind
+// names the campaign in the epoch error.
+func validateCampaign(kind string, epochs int, epochInstructions uint64, inj inject.Params, backoff dvfs.BackoffConfig) error {
 	switch {
-	case s.Epochs <= 0:
-		return fmt.Errorf("sim: chaos campaign needs positive epochs, got %d", s.Epochs)
-	case s.EpochInstructions == 0:
+	case epochs <= 0:
+		return fmt.Errorf("sim: %s needs positive epochs, got %d", kind, epochs)
+	case epochInstructions == 0:
 		return errors.New("sim: zero epoch instructions")
 	}
-	if err := s.Inject.Validate(); err != nil {
+	if err := inj.Validate(); err != nil {
 		return err
 	}
-	if err := s.Backoff.Validate(); err != nil {
+	return backoff.Validate()
+}
+
+// validateDie checks one campaign die's start point and benchmark.
+func validateDie(startMV int, benchmark string) error {
+	if _, err := dvfs.PointAt(startMV); err != nil {
 		return err
 	}
-	if _, err := dvfs.PointAt(s.StartMV); err != nil {
-		return err
-	}
-	if _, err := workload.ByName(s.Benchmark); err != nil {
-		return err
-	}
-	return nil
+	_, err := workload.ByName(benchmark)
+	return err
 }
 
 // ChaosEpoch is one controller epoch of a campaign.
@@ -122,14 +132,6 @@ type ChaosResult struct {
 	StepUps, StepDowns int
 }
 
-// chaosRig is the live hardware for one voltage segment.
-type chaosRig struct {
-	ic     *bbr.ICache
-	dc     *ffw.Cache
-	next   *core.NextLevel
-	stream *workload.Stream
-}
-
 // RunChaos executes one fault-injection campaign. The die's fault maps
 // are voltage-nested (one faultmap.Series per cache, as in SweepDie);
 // every voltage transition rebuilds the caches against the new point's
@@ -142,21 +144,19 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	prof, err := workload.ByName(spec.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	backoff, err := dvfs.NewBackoff(spec.Backoff, spec.StartMV)
-	if err != nil {
-		return nil, err
-	}
-
-	// The die: nested manufacturing maps, same seed salts as SweepDie.
-	seriesI, seriesD := dieSeries(spec.DieSeed)
-
-	// The BBR program transform is voltage-independent; only the link
-	// against the I-side fault map changes per point.
-	prog, err := bbrProgram(prof, spec.WorkSeed)
+	// Each segment runs over a fresh inline L2 at the segment's clock.
+	var next *core.NextLevel
+	var stream *workload.Stream
+	die := HierChaosCoreSpec{Benchmark: spec.Benchmark, DieSeed: spec.DieSeed, WorkSeed: spec.WorkSeed, StartMV: spec.StartMV}
+	c, err := newCampaign(die, fmt.Sprintf("die %d", spec.DieSeed), 0, spec.Inject, spec.Backoff,
+		func(op dvfs.OperatingPoint, rig hier.RigBuilder) error {
+			n := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
+			_, _, s, err := rig(n)
+			if err == nil {
+				next, stream = n, s
+			}
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -173,71 +173,149 @@ func (e *Engine) RunChaos(ctx context.Context, spec ChaosSpec) (*ChaosResult, er
 	model := energy.DefaultModel()
 	factor := L1StaticFactor(FFWBBR)
 
-	// build constructs the rig for the controller's current operating
-	// point. seg numbers the voltage segments so each gets independent
-	// injector streams.
-	seg := 0
-	var rig *chaosRig
-	build := func() error {
-		return buildForcingUp(backoff, fmt.Sprintf("die %d", spec.DieSeed), func(op dvfs.OperatingPoint) error {
-			next := core.NewNextLevel(core.MemLatencyCycles(op.FreqMHz))
-			ic, dc, stream, berr := buildChaosRig(spec.Inject, spec.WorkSeed, 0, prof, prog, op, seriesI, seriesD, seg, next)
-			if berr != nil {
-				return berr
-			}
-			seg++
-			rig = &chaosRig{ic: ic, dc: dc, next: next, stream: stream}
-			return nil
-		})
-	}
-	if err := build(); err != nil {
+	if err := c.build(); err != nil {
 		return nil, err
 	}
-
-	res := &ChaosResult{Spec: spec}
-	var prev inject.Stats
 	var normWeight, instrTotal float64
 	for i := 0; i < spec.Epochs; i++ {
-		op := backoff.Current()
-		r, rerr := cpu.RunContext(ctx, spec.CPU, rig.stream, rig.ic, rig.dc, rig.next, spec.EpochInstructions)
+		r, rerr := cpu.RunContext(ctx, spec.CPU, stream, c.ic, c.dc, next, spec.EpochInstructions)
 		if rerr != nil {
 			return nil, rerr
 		}
-		cum := rig.ic.FaultStats()
-		cum.Add(rig.dc.FaultStats())
-		delta := cum.Sub(prev)
-		prev = cum
-
-		rate := 1000 * float64(delta.Detected) / float64(r.Instructions)
-		action := backoff.Observe(rate)
-		norm, nerr := model.Normalized(r, op, factor, baseline)
-		if nerr != nil {
-			return nil, nerr
+		ep, oerr := c.observe(r, i < spec.Epochs-1)
+		if oerr != nil {
+			return nil, oerr
 		}
-		res.Epochs = append(res.Epochs, ChaosEpoch{
-			Index: i, Op: op, Result: r, Faults: delta, Rate: rate, Action: action, NormEPI: norm,
-		})
-		res.Totals.Add(delta)
-		normWeight += norm * float64(r.Instructions)
+		if ep.NormEPI, err = model.Normalized(r, ep.Op, factor, baseline); err != nil {
+			return nil, err
+		}
+		normWeight += ep.NormEPI * float64(r.Instructions)
 		instrTotal += float64(r.Instructions)
-
-		if action != dvfs.Hold && i < spec.Epochs-1 {
-			// Voltage transition: rebuild against the new point's nested
-			// map, relink, fresh injectors. Detection counters restart
-			// with the new rig.
-			if err := build(); err != nil {
-				return nil, err
-			}
-			prev = inject.Stats{}
-		}
 	}
+	res := &ChaosResult{Spec: spec, Epochs: c.epochs}
 	if instrTotal > 0 {
 		res.MeanNormEPI = normWeight / instrTotal
 	}
-	res.FinalMV = backoff.Current().VoltageMV
-	res.StepUps, res.StepDowns = backoff.StepUps(), backoff.StepDowns()
-	res.Residency = residency(res.Epochs)
+	sum := c.summary()
+	res.FinalMV, res.StepUps, res.StepDowns = sum.FinalMV, sum.StepUps, sum.StepDowns
+	res.Totals, res.Residency = sum.Totals, sum.Residency
 	return res, nil
+}
+
+// campaign is one die's fault-injection campaign: its nested fault
+// maps, BBR program and back-off controller, and the ledger of the
+// epochs it has run. RunChaos drives one over an inline L2;
+// RunHierChaos drives one per core over the shared L2.
+type campaign struct {
+	what             string // names the die in a yield-failure error
+	inj              inject.Params
+	workSeed, salt   int64
+	prof             workload.Profile
+	prog             *program.Program
+	seriesI, seriesD *faultmap.Series
+	backoff          *dvfs.Backoff
+	// attach installs a segment's rig at op over the driver's next level.
+	attach func(op dvfs.OperatingPoint, rig hier.RigBuilder) error
+
+	seg    int // voltage segments built so far
+	ic     *bbr.ICache
+	dc     *ffw.Cache
+	prev   inject.Stats // the segment's cumulative counts at the last epoch
+	totals inject.Stats
+	epochs []ChaosEpoch
+}
+
+// newCampaign sets up die's campaign without building a rig. salt
+// decorrelates injector streams across a hierarchy's cores; 0 for
+// single-core, preserving the historical seeds bit for bit.
+func newCampaign(die HierChaosCoreSpec, what string, salt int64, inj inject.Params, cfg dvfs.BackoffConfig,
+	attach func(op dvfs.OperatingPoint, rig hier.RigBuilder) error) (*campaign, error) {
+
+	prof, err := workload.ByName(die.Benchmark)
+	if err != nil {
+		return nil, err
+	}
+	backoff, err := dvfs.NewBackoff(cfg, die.StartMV)
+	if err != nil {
+		return nil, err
+	}
+	// The BBR program transform is voltage-independent; only the link
+	// against the I-side fault map changes per point.
+	prog, err := bbrProgram(prof, die.WorkSeed)
+	if err != nil {
+		return nil, err
+	}
+	c := &campaign{
+		what: what, inj: inj, workSeed: die.WorkSeed, salt: salt,
+		prof: prof, prog: prog, backoff: backoff, attach: attach,
+	}
+	// The die: nested manufacturing maps, same seed salts as SweepDie.
+	c.seriesI, c.seriesD = dieSeries(die.DieSeed)
+	return c, nil
+}
+
+// build equips the die for its controller's current operating point:
+// the caches against that point's nested maps, the BBR link and fresh
+// injectors for the new segment. Detection counters restart with the
+// new rig.
+func (c *campaign) build() error {
+	return buildForcingUp(c.backoff, c.what, func(op dvfs.OperatingPoint) error {
+		err := c.attach(op, func(next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
+			fmI, fmD := c.seriesI.MapAt(op.PfailBit), c.seriesD.MapAt(op.PfailBit)
+			layout, err := link(c.prog, fmI)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			// Per-segment injector streams: distinct per voltage segment,
+			// per core and per cache side, derived only from spec seeds
+			// and the segment ordinal — never from scheduling.
+			ic, dc, err := newFFWBBR(fmI, fmD, next, ffw.Options{}, c.inj.WithSeed(c.inj.Seed+c.salt+int64(c.seg)*7919), op.VoltageMV)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			c.ic, c.dc = ic, dc
+			return ic, dc, workload.NewStream(c.prof, c.prog, layout, c.workSeed), nil
+		})
+		if err == nil {
+			c.seg++
+			c.prev = inject.Stats{}
+		}
+		return err
+	})
+}
+
+// observe records one epoch run at the controller's current point and
+// feeds its detected-fault rate to the controller. On a voltage step
+// with more epochs to come, it rebuilds for the new point. The returned
+// epoch stays valid until the next observe.
+func (c *campaign) observe(r cpu.Result, more bool) (*ChaosEpoch, error) {
+	op := c.backoff.Current()
+	cum := c.ic.FaultStats()
+	cum.Add(c.dc.FaultStats())
+	delta := cum.Sub(c.prev)
+	c.prev = cum
+	rate := 1000 * float64(delta.Detected) / float64(r.Instructions)
+	action := c.backoff.Observe(rate)
+	c.totals.Add(delta)
+	c.epochs = append(c.epochs, ChaosEpoch{
+		Index: len(c.epochs), Op: op, Result: r, Faults: delta, Rate: rate, Action: action,
+	})
+	if action != dvfs.Hold && more {
+		if err := c.build(); err != nil {
+			return nil, err
+		}
+	}
+	return &c.epochs[len(c.epochs)-1], nil
+}
+
+// summary is the campaign's closing ledger; the driver fills in Core
+// and Benchmark where it reports them.
+func (c *campaign) summary() HierChaosCoreSummary {
+	return HierChaosCoreSummary{
+		FinalMV: c.backoff.Current().VoltageMV,
+		StepUps: c.backoff.StepUps(), StepDowns: c.backoff.StepDowns(),
+		Totals: c.totals, Residency: residency(c.epochs),
+	}
 }
 
 // buildForcingUp calls build at the controller's current operating
@@ -255,30 +333,6 @@ func buildForcingUp(backoff *dvfs.Backoff, what string, build func(op dvfs.Opera
 			return fmt.Errorf("%s uncoverable even at %d mV: %w", what, op.VoltageMV, err)
 		}
 	}
-}
-
-// buildChaosRig assembles the caches, link and stream for one voltage
-// segment of a campaign over the given next level — the shared path
-// between single-core campaigns (inline L2) and hierarchy campaigns
-// (port-backed shared L2). coreSalt decorrelates injector streams
-// across a hierarchy's cores; 0 for single-core, preserving the
-// historical seeds bit for bit.
-func buildChaosRig(inj inject.Params, workSeed, coreSalt int64, prof workload.Profile, prog *program.Program,
-	op dvfs.OperatingPoint, seriesI, seriesD *faultmap.Series, seg int, next *core.NextLevel) (*bbr.ICache, *ffw.Cache, *workload.Stream, error) {
-
-	fmI, fmD := seriesI.MapAt(op.PfailBit), seriesD.MapAt(op.PfailBit)
-	layout, err := link(prog, fmI)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Per-segment injector streams: distinct per voltage segment, per
-	// core and per cache side, derived only from spec seeds and the
-	// segment ordinal — never from scheduling.
-	ic, dc, err := newFFWBBR(fmI, fmD, next, ffw.Options{}, inj.WithSeed(inj.Seed+coreSalt+int64(seg)*7919), op.VoltageMV)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ic, dc, workload.NewStream(prof, prog, layout, workSeed), nil
 }
 
 // residency folds epochs into the effective-voltage histogram, highest

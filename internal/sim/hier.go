@@ -1,9 +1,9 @@
 // Event-driven multicore experiments: N cores (each a full L1 scheme
 // rig) sharing one banked L2 through the internal/hier components, with
-// per-core voltage domains. The single construction path with the
-// trace-driven model (buildRig / buildChaosRig) plus the calibration
-// regression test (hier_test.go) keeps the two models from silently
-// diverging.
+// per-core voltage domains. The construction paths shared with the
+// trace-driven model (buildRig, and the chaos campaign's build) plus
+// the calibration regression test (hier_test.go) keep the two models
+// from silently diverging.
 
 package sim
 
@@ -12,15 +12,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bbr"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
-	"repro/internal/faultmap"
-	"repro/internal/ffw"
 	"repro/internal/hier"
 	"repro/internal/inject"
-	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -101,8 +97,14 @@ func (s HierSpec) Validate() error {
 	return nil
 }
 
-// l2Params assembles the hier.L2Params for a spec.
-func hierL2Params(l2op dvfs.OperatingPoint, banks, mshrs int) hier.L2Params {
+// newHierarchy builds a hierarchy of n cores over a shared L2 clocked
+// at l2MV (0 = nominal); banks and mshrs override the L2 defaults when
+// positive.
+func newHierarchy(n, l2MV, banks, mshrs int) (*hier.Hierarchy, dvfs.OperatingPoint, error) {
+	l2op, err := l2Point(l2MV)
+	if err != nil {
+		return nil, l2op, err
+	}
 	p := hier.DefaultL2Params(l2op)
 	if banks > 0 {
 		p.Banks = banks
@@ -110,7 +112,8 @@ func hierL2Params(l2op dvfs.OperatingPoint, banks, mshrs int) hier.L2Params {
 	if mshrs > 0 {
 		p.MSHRs = mshrs
 	}
-	return p
+	h, err := hier.New(hier.Config{Cores: n, L2: p})
+	return h, l2op, err
 }
 
 // HierCoreResult is one core's outcome.
@@ -145,11 +148,7 @@ func RunHierarchy(ctx context.Context, spec HierSpec) (*HierResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	l2op, err := l2Point(spec.L2MV)
-	if err != nil {
-		return nil, err
-	}
-	h, err := hier.New(hier.Config{Cores: len(spec.Cores), L2: hierL2Params(l2op, spec.Banks, spec.MSHRs)})
+	h, l2op, err := newHierarchy(len(spec.Cores), spec.L2MV, spec.Banks, spec.MSHRs)
 	if err != nil {
 		return nil, err
 	}
@@ -212,28 +211,17 @@ type HierChaosSpec struct {
 
 // Validate checks the specification.
 func (s HierChaosSpec) Validate() error {
-	switch {
-	case len(s.Cores) == 0:
+	if len(s.Cores) == 0 {
 		return errors.New("sim: hierarchy campaign needs at least one core")
-	case s.Epochs <= 0:
-		return fmt.Errorf("sim: hierarchy campaign needs positive epochs, got %d", s.Epochs)
-	case s.EpochInstructions == 0:
-		return errors.New("sim: zero epoch instructions")
 	}
-	if err := s.Inject.Validate(); err != nil {
-		return err
-	}
-	if err := s.Backoff.Validate(); err != nil {
+	if err := validateCampaign("hierarchy campaign", s.Epochs, s.EpochInstructions, s.Inject, s.Backoff); err != nil {
 		return err
 	}
 	if _, err := l2Point(s.L2MV); err != nil {
 		return err
 	}
 	for i, cs := range s.Cores {
-		if _, err := dvfs.PointAt(cs.StartMV); err != nil {
-			return fmt.Errorf("sim: core %d: %w", i, err)
-		}
-		if _, err := workload.ByName(cs.Benchmark); err != nil {
+		if err := validateDie(cs.StartMV, cs.Benchmark); err != nil {
 			return fmt.Errorf("sim: core %d: %w", i, err)
 		}
 	}
@@ -279,21 +267,6 @@ type HierChaosResult struct {
 	L2 hier.L2Stats `json:"l2"`
 }
 
-// hierChaosCore is one core's live campaign state.
-type hierChaosCore struct {
-	prof             workload.Profile
-	prog             *program.Program
-	seriesI, seriesD *faultmap.Series
-	backoff          *dvfs.Backoff
-	salt             int64
-	seg              int
-	ic               *bbr.ICache
-	dc               *ffw.Cache
-	prev             inject.Stats
-	totals           inject.Stats
-	epochs           []ChaosEpoch // op/result pairs for residency folding
-}
-
 // RunHierChaos executes one multicore fault-injection campaign. Per
 // the single-core semantics: a voltage transition rebuilds that core's
 // rig against its die's nested map at the new point (contents do not
@@ -304,60 +277,24 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	l2op, err := l2Point(spec.L2MV)
+	h, _, err := newHierarchy(len(spec.Cores), spec.L2MV, spec.Banks, spec.MSHRs)
 	if err != nil {
 		return nil, err
 	}
-	h, err := hier.New(hier.Config{Cores: len(spec.Cores), L2: hierL2Params(l2op, spec.Banks, spec.MSHRs)})
-	if err != nil {
-		return nil, err
-	}
-
-	// rebuild equips core i for its controller's current point
-	// (uncoverable at the top rung aborts the campaign — a dead die).
-	states := make([]*hierChaosCore, len(spec.Cores))
-	rebuild := func(i int) error {
-		st, cs := states[i], spec.Cores[i]
-		return buildForcingUp(st.backoff, fmt.Sprintf("core %d die %d", i, cs.DieSeed), func(op dvfs.OperatingPoint) error {
-			err := h.SetRig(i, op, spec.CPU, func(next *core.NextLevel) (core.InstrCache, core.DataCache, *workload.Stream, error) {
-				ic, dc, stream, berr := buildChaosRig(spec.Inject, cs.WorkSeed, st.salt, st.prof, st.prog, op, st.seriesI, st.seriesD, st.seg, next)
-				if berr != nil {
-					return nil, nil, nil, berr
-				}
-				st.ic, st.dc = ic, dc
-				return ic, dc, stream, nil
-			})
-			if err == nil {
-				st.seg++
-				st.prev = inject.Stats{}
-			}
-			return err
-		})
-	}
+	dies := make([]*campaign, len(spec.Cores))
 	for i, cs := range spec.Cores {
-		prof, perr := workload.ByName(cs.Benchmark)
-		if perr != nil {
-			return nil, perr
+		c, cerr := newCampaign(cs, fmt.Sprintf("core %d die %d", i, cs.DieSeed),
+			int64(i)*1_000_003, // decorrelate per-core injector streams
+			spec.Inject, spec.Backoff,
+			func(op dvfs.OperatingPoint, rig hier.RigBuilder) error { return h.SetRig(i, op, spec.CPU, rig) })
+		if cerr != nil {
+			return nil, cerr
 		}
-		backoff, berr := dvfs.NewBackoff(spec.Backoff, cs.StartMV)
-		if berr != nil {
-			return nil, berr
-		}
-		prog, terr := bbrProgram(prof, cs.WorkSeed)
-		if terr != nil {
-			return nil, terr
-		}
-		st := &hierChaosCore{
-			prof: prof, prog: prog, backoff: backoff,
-			salt: int64(i) * 1_000_003, // decorrelate per-core injector streams
-		}
-		// Same die-seed salts as SweepDie/RunChaos, so one core's die is
-		// comparable to a single-core campaign on the same seed.
-		st.seriesI, st.seriesD = dieSeries(cs.DieSeed)
-		states[i] = st
-		if err := rebuild(i); err != nil {
+		// An uncoverable die at the top rung aborts the campaign.
+		if err := c.build(); err != nil {
 			return nil, err
 		}
+		dies[i] = c
 	}
 
 	res := &HierChaosResult{Spec: spec}
@@ -368,37 +305,23 @@ func RunHierChaos(ctx context.Context, spec HierChaosSpec) (*HierChaosResult, er
 			return nil, rerr
 		}
 		l2now := h.L2Stats()
-		ep := HierChaosEpoch{Index: e, L2: l2now.Sub(prevL2)}
+		hep := HierChaosEpoch{Index: e, L2: l2now.Sub(prevL2)}
 		prevL2 = l2now
-		for i, st := range states {
-			op := st.backoff.Current()
-			r := results[i]
-			cum := st.ic.FaultStats()
-			cum.Add(st.dc.FaultStats())
-			delta := cum.Sub(st.prev)
-			st.prev = cum
-			rate := 1000 * float64(delta.Detected) / float64(r.Instructions)
-			action := st.backoff.Observe(rate)
-			ep.Cores = append(ep.Cores, HierChaosCoreEpoch{
-				Core: i, MV: op.VoltageMV, Result: r, Faults: delta, Rate: rate, Action: action,
-			})
-			st.totals.Add(delta)
-			st.epochs = append(st.epochs, ChaosEpoch{Op: op, Result: r})
-			if action != dvfs.Hold && e < spec.Epochs-1 {
-				if err := rebuild(i); err != nil {
-					return nil, err
-				}
+		for i, c := range dies {
+			ep, oerr := c.observe(results[i], e < spec.Epochs-1)
+			if oerr != nil {
+				return nil, oerr
 			}
+			hep.Cores = append(hep.Cores, HierChaosCoreEpoch{
+				Core: i, MV: ep.Op.VoltageMV, Result: ep.Result, Faults: ep.Faults, Rate: ep.Rate, Action: ep.Action,
+			})
 		}
-		res.Epochs = append(res.Epochs, ep)
+		res.Epochs = append(res.Epochs, hep)
 	}
-	for i, st := range states {
-		res.Cores = append(res.Cores, HierChaosCoreSummary{
-			Core: i, Benchmark: spec.Cores[i].Benchmark,
-			FinalMV: st.backoff.Current().VoltageMV,
-			StepUps: st.backoff.StepUps(), StepDowns: st.backoff.StepDowns(),
-			Totals: st.totals, Residency: residency(st.epochs),
-		})
+	for i, c := range dies {
+		sum := c.summary()
+		sum.Core, sum.Benchmark = i, spec.Cores[i].Benchmark
+		res.Cores = append(res.Cores, sum)
 	}
 	res.L2 = h.L2Stats()
 	return res, nil
