@@ -74,19 +74,24 @@ const WordsPerBlock = 8
 type Params struct {
 	// Seed derives every random choice the injector makes.
 	Seed int64
-	// Intensity is the expected number of fault events per 1000 accesses
-	// at the 400 mV operating point; other voltages scale it down per
-	// RatePerAccess. Zero disables injection.
+	// Intensity sets the event rate r = RatePerAccess(Intensity, mV):
+	// Intensity/1000 at 400 mV, scaled down at higher voltages. Each
+	// access starts an event with probability 1-e^(-r), a little below
+	// r: 181 rather than 200 events per 1000 accesses at Intensity 200
+	// and 400 mV. Zero disables injection.
 	Intensity float64
 	// TransientWeight, IntermittentWeight and PermanentWeight set the
 	// event-kind mix. All three zero selects the default 0.6/0.3/0.1.
 	TransientWeight, IntermittentWeight, PermanentWeight float64
-	// ClusterMean is the mean number of *extra* contiguous words in an
+	// ClusterMean scales the *extra* contiguous words in an
 	// intermittent/permanent cluster beyond the first (spatial
-	// correlation a la MoRS). Zero selects the default 1.5.
+	// correlation a la MoRS): floor(Exp*ClusterMean) of them, a
+	// geometric count with mean 1/(e^(1/ClusterMean)-1), about
+	// ClusterMean-1/2. Zero selects the default 1.5, a mean of 1.06.
 	ClusterMean float64
-	// WindowMean is the mean active window of an intermittent event in
-	// accesses. Zero selects the default 200.
+	// WindowMean scales the active window of an intermittent event:
+	// 1+floor(Exp*WindowMean) accesses, a mean of about WindowMean+1/2.
+	// Zero selects the default 200.
 	WindowMean float64
 }
 
@@ -135,7 +140,8 @@ func (p Params) normalized() Params {
 // relative to the 400 mV anchor, so the injected-event rate falls with
 // rising voltage exactly as fast as the underlying cell physics: about
 // 3× per 40 mV step in the paper's region of interest, four decades
-// between 400 mV and the 760 mV nominal point.
+// between 400 mV and the 760 mV nominal point. An access starts an
+// event with probability 1-e^(-rate) (see Injector.gap).
 func RatePerAccess(intensity float64, voltageMV int) float64 {
 	if intensity <= 0 {
 		return 0
@@ -262,7 +268,9 @@ func New(words, voltageMV int, p Params) (*Injector, error) {
 	return in, nil
 }
 
-// gap draws the next exponential inter-arrival gap in ticks (>= 0).
+// gap draws floor(Exp/rate) >= 0; the next event comes 1+gap ticks
+// after the last, a geometric inter-arrival time with success
+// probability 1-e^(-rate) per tick.
 func (in *Injector) gap() uint64 {
 	return uint64(in.rng.ExpFloat64() / in.rate)
 }
@@ -324,8 +332,8 @@ func (in *Injector) spawn(at, now uint64) {
 }
 
 // cluster draws a spatially correlated contiguous word cluster: a
-// uniform start word and a geometric run length (mean 1+ClusterMean),
-// clipped to the array.
+// uniform start word and 1+floor(Exp*ClusterMean) words (mean
+// 1+1/(e^(1/ClusterMean)-1)), clipped to the array.
 func (in *Injector) cluster() (word, size int) {
 	word = in.rng.Intn(in.words)
 	size = 1 + int(in.rng.ExpFloat64()*in.p.ClusterMean)

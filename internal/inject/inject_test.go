@@ -1,8 +1,11 @@
 package inject
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/dvfs"
 )
 
 const testWords = 8 * 1024
@@ -122,6 +125,137 @@ func TestKindMix(t *testing.T) {
 	}
 }
 
+// TestInjectorStatistics checks what the injector draws at every
+// Table II voltage, over statTicks accesses of a default-mix injector
+// at Intensity 200 (one access per tick). With E an Exp(1) draw and
+// r = RatePerAccess:
+//   - events: the gap to the next event is 1+floor(E/r) ticks, so each
+//     access starts an event independently with probability 1-e^(-r)
+//     and the count is Binomial(statTicks, 1-e^(-r)). At 400 mV that is
+//     9.4% below statTicks*r;
+//   - kinds: given N events, each kind's count is Binomial(N, its
+//     weight), the weights summing to one;
+//   - cluster sizes: a cluster has floor(E*ClusterMean) extra words, at
+//     least k of them with probability e^(-k/ClusterMean), k = 1..3;
+//   - intermittent windows: an event stays active 1+floor(E*WindowMean)
+//     accesses, at least 1+k with probability e^(-k/WindowMean), k at
+//     half, one and two WindowMeans.
+//
+// Clusters and windows are read off the intermittent events as they
+// spawn; permanent clusters come from the same draw. A cluster starting
+// within three words of the array's end may be clipped and is left out,
+// since its extra words are then not all seen. Each count is checked
+// against its exact binomial window at a false-alarm rate of statAlpha,
+// ten checks per voltage, so the test raises a false alarm at most once
+// in about 16,000 seedings.
+func TestInjectorStatistics(t *testing.T) {
+	const (
+		statTicks = 2_000_000
+		statAlpha = 1e-6
+	)
+	// The documented defaults, written out so a changed default shows.
+	const transientW, intermittentW, permanentW = 0.6, 0.3, 0.1
+	const clusterMean, windowMean = 1.5, 200
+	p := Params{Intensity: 200}
+	clusterK := []int{1, 2, 3}
+	windowK := []uint64{windowMean / 2, windowMean, 2 * windowMean}
+	for _, op := range dvfs.OperatingPoints() {
+		check := func(what string, got, n int, q float64) {
+			t.Helper()
+			if lo, hi := binomialWindow(n, q, statAlpha); got < lo || got > hi {
+				t.Errorf("%d mV: %s: %d of %d, want [%d, %d] (q = %.5f, false-alarm rate %g)",
+					op.VoltageMV, what, got, n, lo, hi, q, statAlpha)
+			}
+		}
+		in := mustNew(t, testWords, op.VoltageMV, p.WithSeed(int64(op.VoltageMV)))
+		var clusters, windows int
+		clusterTail := make([]int, len(clusterK))
+		windowTail := make([]int, len(windowK))
+		var seen uint64
+		for tick := uint64(1); tick <= statTicks; tick++ {
+			in.Advance(tick)
+			// Events spawned this tick are the newest active ones: a
+			// window is at least one access, so none has expired yet.
+			n := in.InjectedStats().InjectedIntermittent
+			if int(n-seen) > len(in.active) {
+				t.Fatalf("%d mV: an intermittent event expired on the tick it spawned", op.VoltageMV)
+			}
+			for _, e := range in.active[len(in.active)-int(n-seen):] {
+				windows++
+				for i, k := range windowK {
+					if e.end-e.start >= 1+k {
+						windowTail[i]++
+					}
+				}
+				if testWords-e.word <= clusterK[len(clusterK)-1] {
+					continue
+				}
+				clusters++
+				for i, k := range clusterK {
+					if e.size >= 1+k {
+						clusterTail[i]++
+					}
+				}
+			}
+			seen = n
+		}
+
+		s := in.InjectedStats()
+		events := int(s.Injected())
+		check("events", events, statTicks, -math.Expm1(-RatePerAccess(p.Intensity, op.VoltageMV)))
+		check("transient events", int(s.InjectedTransient), events, transientW)
+		check("intermittent events", int(s.InjectedIntermittent), events, intermittentW)
+		check("permanent events", int(s.InjectedPermanent), events, permanentW)
+		for i, k := range clusterK {
+			check(fmt.Sprintf("clusters with %d+ extra words", k), clusterTail[i], clusters, math.Exp(-float64(k)/clusterMean))
+		}
+		for i, k := range windowK {
+			check(fmt.Sprintf("windows of %d+ accesses", 1+k), windowTail[i], windows, math.Exp(-float64(k)/windowMean))
+		}
+	}
+}
+
+// binomialWindow returns the narrowest [lo, hi] with P(K < lo) <= alpha/2
+// and P(K > hi) <= alpha/2 for K ~ Binomial(n, q), 0 < q < 1: the exact
+// pmf, stepped out from the mode by the ratio of successive terms until
+// a term falls below 1e-300 (as in faultmap's statistics tests).
+func binomialWindow(n int, q, alpha float64) (lo, hi int) {
+	mode := int(float64(n+1) * q)
+	lgN, _ := math.Lgamma(float64(n + 1))
+	lgK, _ := math.Lgamma(float64(mode + 1))
+	lgNK, _ := math.Lgamma(float64(n - mode + 1))
+	peak := math.Exp(lgN - lgK - lgNK + float64(mode)*math.Log(q) + float64(n-mode)*math.Log1p(-q))
+	odds := q / (1 - q)
+	below := []float64{} // pmf(mode-1), pmf(mode-2), ...
+	for k, pk := mode, peak; k > 0; k-- {
+		if pk *= float64(k) / float64(n-k+1) / odds; pk < 1e-300 {
+			break
+		}
+		below = append(below, pk)
+	}
+	above := []float64{} // pmf(mode+1), pmf(mode+2), ...
+	for k, pk := mode, peak; k < n; k++ {
+		if pk *= float64(n-k) / float64(k+1) * odds; pk < 1e-300 {
+			break
+		}
+		above = append(above, pk)
+	}
+	lo, hi = mode-len(below), mode+len(above)
+	for tail, i := 0.0, len(below)-1; i >= 0; i-- {
+		if tail += below[i]; tail > alpha/2 {
+			break
+		}
+		lo++
+	}
+	for tail, i := 0.0, len(above)-1; i >= 0; i-- {
+		if tail += above[i]; tail > alpha/2 {
+			break
+		}
+		hi--
+	}
+	return lo, hi
+}
+
 // TestIntermittentExpiry: intermittent faults activate, stay active
 // within their window, and subside afterwards; permanents never do.
 func TestIntermittentExpiry(t *testing.T) {
@@ -192,8 +326,8 @@ func TestClustering(t *testing.T) {
 	if events == 0 {
 		t.Fatal("no permanent events")
 	}
-	// Mean cluster size 1+ClusterMean = 5; overlap can only shrink the
-	// observed ratio, so >2 demonstrates genuine clustering.
+	// Mean cluster size 1+1/(e^(1/4)-1) = 4.52; overlap can only shrink
+	// the observed ratio, so >2 demonstrates genuine clustering.
 	if ratio := float64(words) / float64(events); ratio < 2 {
 		t.Fatalf("words/event = %.2f, want > 2 (clustered)", ratio)
 	}
