@@ -5,7 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/analyze"
+	"repro/internal/golden"
 )
+
+// TestMain runs main when a test re-executes the binary.
+func TestMain(m *testing.M) { golden.Main(m, main) }
+
+// TestCLI pins the command's stdout for two flag sets: -list, whose
+// first column CI's per-check budget loop reads as the check names, and
+// -json over a package with no findings, which prints an empty array
+// and exits 0.
+func TestCLI(t *testing.T) {
+	golden.CheckStdout(t, "testdata/list.golden", "-list")
+	golden.CheckStdout(t, "testdata/json.golden", "-json", ".")
+}
 
 // loadModule loads the whole module as `lvlint ./...` does from the
 // module root, and returns its packages and module path.
