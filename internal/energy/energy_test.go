@@ -193,3 +193,26 @@ func TestL2WriteEnergyCounted(t *testing.T) {
 		t.Error("store traffic must add L2 write energy")
 	}
 }
+
+// TestEnergyModelConsistency checks DefaultModel's leakage constants,
+// within 10%, against the values a component-level core power model
+// (Table I core in 45 nm: fetch, decode, issue, ALUs, LSQ, ROB,
+// register files, predictor and the two L1 arrays) gave for them.
+func TestEnergyModelConsistency(t *testing.T) {
+	m := DefaultModel()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		// DESIGN.md calibration anchor 5: core+L1 static ≈2% against
+		// core+L1 dynamic ≈95% at 760 mV.
+		{"static/dynamic ratio", m.CoreStaticPerRefCycle / m.CoreDynEPI, 0.02094},
+		// DESIGN.md calibration anchor 5: the two L1 arrays hold ≈40%
+		// of core+L1 leakage.
+		{"L1 leakage share", m.L1ShareOfCoreStatic, 0.3973},
+	} {
+		if math.Abs(c.got-c.want)/c.want > 0.10 {
+			t.Errorf("%s = %.5f, want %.5f within 10%%", c.name, c.got, c.want)
+		}
+	}
+}
