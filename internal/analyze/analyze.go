@@ -91,33 +91,11 @@ func (p *Pass) TypesPkg() *types.Package { return p.Pkg.Types }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, format, args...)
-}
-
-// report records a diagnostic and returns a pointer to it so the caller
-// can attach suggested fixes. The pointer is only valid until the next
-// report on the same pass.
-func (p *Pass) report(pos token.Pos, format string, args ...any) *Diagnostic {
 	*p.diags = append(*p.diags, Diagnostic{
 		Check:    p.Analyzer.Name,
 		Position: p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-	return &(*p.diags)[len(*p.diags)-1]
-}
-
-// TextEdit is one byte-range replacement of a suggested fix. Pos/End
-// are token positions in the pass's FileSet.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
-}
-
-// SuggestedFix is a mechanically safe rewrite attached to a diagnostic;
-// `lvlint -fix` applies them.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
 }
 
 // Diagnostic is one finding.
@@ -125,9 +103,6 @@ type Diagnostic struct {
 	Check    string         `json:"check"`
 	Position token.Position `json:"position"`
 	Message  string         `json:"message"`
-	// Fixes are optional mechanical rewrites (not serialized; the
-	// positions are FileSet-relative and meaningless across runs).
-	Fixes []SuggestedFix `json:"-"`
 }
 
 func (d Diagnostic) String() string {

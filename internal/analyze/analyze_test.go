@@ -1,9 +1,7 @@
 package analyze
 
 import (
-	"bytes"
 	"fmt"
-	"go/format"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -262,88 +260,6 @@ func TestDiagnosticString(t *testing.T) {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	_ = fmt.Sprintf("%v", d)
-}
-
-// TestFixRoundTrip applies every suggested fix in the fixapply
-// fixtures and verifies the result per analyzer: zero findings on
-// re-analysis, and output that gofmt leaves unchanged. The eventflow
-// leg additionally proves the rewrite converges — its collect loop
-// must not itself be reported as a map range.
-func TestFixRoundTrip(t *testing.T) {
-	cases := []struct {
-		name     string
-		src      string // fixture source under testdata/fixapply
-		dest     string // relative path inside the temp module
-		analyzer *Analyzer
-	}{
-		{name: "detflow", src: "a/a.go", dest: "a.go", analyzer: Detflow},
-		{name: "eventflow", src: "event/event.go", dest: "event/event.go", analyzer: Eventflow},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join("testdata", "fixapply", filepath.FromSlash(tc.src)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			path := filepath.Join(dir, filepath.FromSlash(tc.dest))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, src, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			loader := NewLoader("test")
-			pkgs, err := loader.LoadTree(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diags := Run(pkgs, []*Analyzer{tc.analyzer}, "test")
-			if len(diags) == 0 {
-				t.Fatal("fixapply fixture produced no findings")
-			}
-			withFix := 0
-			for _, d := range diags {
-				withFix += len(d.Fixes)
-			}
-			if withFix == 0 {
-				t.Fatal("fixapply findings carry no suggested fixes")
-			}
-
-			fixed, err := ApplyFixes(loader.Fset, diags)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, ok := fixed[path]
-			if !ok {
-				t.Fatalf("ApplyFixes touched %d files, none of them %s", len(fixed), path)
-			}
-			formatted, err := format.Source(data)
-			if err != nil {
-				t.Fatalf("fixed source does not format: %v", err)
-			}
-			if !bytes.Equal(formatted, data) {
-				t.Errorf("fixed source is not gofmt-stable:\n%s", data)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			loader2 := NewLoader("test")
-			pkgs2, err := loader2.LoadTree(dir)
-			if err != nil {
-				t.Fatalf("fixed source does not load: %v\n%s", err, data)
-			}
-			if after := Run(pkgs2, []*Analyzer{tc.analyzer}, "test"); len(after) != 0 {
-				t.Errorf("findings survive -fix:\n%s", data)
-				for _, d := range after {
-					t.Errorf("  %s", d)
-				}
-			}
-		})
-	}
 }
 
 // TestFixtureDigest runs every check over every fixture package in one

@@ -107,10 +107,7 @@ func checkEventHandler(pass *Pass, info *types.Info, lit *ast.FuncLit, set map[*
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok && !keyCollect(n) {
-				d := pass.report(n.Pos(), "map iteration order inside an event handler varies between runs; collect and sort the keys instead")
-				if fix, ok := sortedRangeFix(pass, n.Pos()); ok {
-					d.Fixes = append(d.Fixes, fix)
-				}
+				pass.Reportf(n.Pos(), "map iteration order inside an event handler varies between runs; collect and sort the keys instead")
 			}
 		case *ast.CallExpr:
 			fn := flow.Callee(info, n)
@@ -129,16 +126,16 @@ func checkEventHandler(pass *Pass, info *types.Info, lit *ast.FuncLit, set map[*
 	})
 }
 
-// keyCollect recognizes the sanctioned collect-then-sort idiom — the
-// exact shape the suggested fix produces:
+// keyCollect recognizes the sanctioned collect-then-sort idiom, the
+// one the finding's message asks for:
 //
 //	for k := range m {
 //		keys = append(keys, k)
 //	}
 //
 // Append order does not matter here (the slice is sorted before use),
-// so the map range is harmless; reporting it would make -fix
-// non-convergent, with every applied rewrite spawning a new finding.
+// so the map range is harmless; reporting it would flag the very loop
+// that fixes the finding.
 func keyCollect(rs *ast.RangeStmt) bool {
 	if rs.Value != nil || len(rs.Body.List) != 1 {
 		return false

@@ -1,6 +1,6 @@
-// Package a is the -fix round-trip fixture: every finding here carries
-// a mechanical rewrite, and applying them all leaves a package with
-// zero findings and stable gofmt output.
+// Package a holds detflow findings whose fix is one local rewrite:
+// sort the map's keys, or draw from the seeded generator already in
+// scope. fixtures.golden pins what the suite reports here.
 package a
 
 import (
@@ -8,16 +8,16 @@ import (
 	"math/rand"
 )
 
-// Report prints a map in iteration order; the fix rewrites the range
-// to collect, sort, and index.
+// Report prints a map in iteration order; collecting and sorting the
+// keys first would fix it.
 func Report(m map[string]int) {
 	for k, v := range m {
 		fmt.Println(k, v)
 	}
 }
 
-// Pick mixes a seeded generator with the global one; the fix threads
-// the in-scope generator through the stray call.
+// Pick mixes a seeded generator with the global one; drawing from r
+// in the stray call would fix it.
 func Pick(r *rand.Rand, n int) int {
 	if n <= 0 {
 		return r.Intn(1)

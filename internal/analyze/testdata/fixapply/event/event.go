@@ -1,7 +1,7 @@
-// Package event is the eventflow leg of the -fix round-trip fixture:
-// the import path tail is "event", so the miniature Port/Time types
-// here match eventflow's type scoping. The handler's map range carries
-// the sorted-keys rewrite, and applying it leaves zero findings.
+// Package event is the eventflow counterpart of package a: the import
+// path tail is "event", so the miniature Port/Time types here match
+// eventflow's type scoping. The handler's map range is both an
+// eventflow and a detflow finding; sorting the keys fixes both.
 package event
 
 import (
@@ -16,8 +16,8 @@ type Port struct {
 	OnRecv func(msg string, at Time) error
 }
 
-// Wire registers a handler that walks a map in iteration order; the
-// fix rewrites the range to collect, sort, and index.
+// Wire registers a handler that walks a map in iteration order;
+// collecting and sorting the keys first would fix it.
 func Wire(p *Port, stats map[string]int) {
 	p.OnRecv = func(msg string, at Time) error {
 		for k, v := range stats {
