@@ -123,17 +123,6 @@ func (m *Map) Chunks() []Chunk {
 	return out
 }
 
-// RunLengthAt returns the length of the fault-free run starting exactly at
-// word w (0 if w itself is defective). The scan stops at the end of the
-// array; BBR's matcher handles wrap-around itself.
-func (m *Map) RunLengthAt(w int) int {
-	n := 0
-	for w+n < m.words && !m.Defective(w+n) {
-		n++
-	}
-	return n
-}
-
 // Clone returns a deep copy.
 func (m *Map) Clone() *Map {
 	c := New(m.words)

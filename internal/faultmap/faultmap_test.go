@@ -111,17 +111,6 @@ func TestChunksEdges(t *testing.T) {
 	}
 }
 
-func TestRunLengthAt(t *testing.T) {
-	m := New(10)
-	m.SetDefective(4, true)
-	tests := []struct{ w, want int }{{0, 4}, {3, 1}, {4, 0}, {5, 5}, {9, 1}}
-	for _, tt := range tests {
-		if got := m.RunLengthAt(tt.w); got != tt.want {
-			t.Errorf("RunLengthAt(%d) = %d, want %d", tt.w, got, tt.want)
-		}
-	}
-}
-
 func TestChunksPartitionProperty(t *testing.T) {
 	// Chunk lengths plus defect count always equals total words, and
 	// chunks are separated by at least one defective word.

@@ -30,16 +30,6 @@ func MultiBitFailProb(pfailBit float64) float64 {
 	return p
 }
 
-// SingleBitFailProb returns the probability that a 32-bit word has
-// exactly one failing bit — the fraction of words a SECDED code is
-// continuously correcting.
-func SingleBitFailProb(pfailBit float64) float64 {
-	if pfailBit <= 0 || pfailBit >= 1 {
-		return 0
-	}
-	return 32 * pfailBit * math.Pow(1-pfailBit, 31)
-}
-
 // GenerateSECDED draws the fault map seen through a per-word SECDED code:
 // a word is marked defective only when it has at least two failing bits
 // (single-bit defects are corrected in-line by the decoder). The check

@@ -54,22 +54,6 @@ func TestECCOverwhelmedAtDeepVoltage(t *testing.T) {
 	}
 }
 
-func TestSingleBitFailProb(t *testing.T) {
-	if got := SingleBitFailProb(0); got != 0 {
-		t.Errorf("SingleBitFailProb(0) = %v", got)
-	}
-	want := 32 * 1e-2 * math.Pow(0.99, 31)
-	if got := SingleBitFailProb(1e-2); math.Abs(got-want) > 1e-12 {
-		t.Errorf("SingleBitFailProb(1e-2) = %v, want %v", got, want)
-	}
-	// The three cases partition: P(0) + P(1) + P(>=2) = 1.
-	p := 5e-3
-	sum := math.Pow(1-p, 32) + SingleBitFailProb(p) + MultiBitFailProb(p)
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("partition sums to %v", sum)
-	}
-}
-
 // TestGenerateSECDEDStatistics draws SECDED maps at every non-zero
 // Table II Pfail, as TestGenerateStatistics does, and checks the
 // uncorrectable-word count against two or more of a word's 32 bits
