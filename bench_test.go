@@ -1,10 +1,12 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (DESIGN.md's experiment index), plus ablations for
-// the design choices called out there. Each benchmark regenerates its
-// experiment at a reduced Monte Carlo scale per iteration and reports the
-// headline series values via b.ReportMetric, so `go test -bench=.`
-// doubles as a quick reproduction pass; cmd/lvreport runs the full-scale
-// version.
+// Ablation benchmarks for the design choices DESIGN.md calls out. Each
+// runs its comparison once per iteration at 400 mV and reports the
+// compared values via b.ReportMetric; EXPERIMENTS.md's Ablations section
+// quotes them:
+//
+//	go test -run '^$' -bench Ablation .
+//
+// The paper's tables and figures come from cmd/lvreport, whose output
+// its golden test pins.
 package lvcache
 
 import (
@@ -15,7 +17,6 @@ import (
 
 	"repro/internal/bbr"
 	cachepkg "repro/internal/cache"
-	"repro/internal/cacti"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dvfs"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/program"
 	"repro/internal/schemes"
 	"repro/internal/sim"
-	"repro/internal/sram"
 	"repro/internal/workload"
 )
 
@@ -35,155 +35,6 @@ func opAt(b *testing.B, mv int) dvfs.OperatingPoint {
 		b.Fatal(err)
 	}
 	return op
-}
-
-// BenchmarkFig2FailureProbability regenerates Figure 2: Pfail versus VCC
-// at bit/word/block/cache granularity, plus the Vccmin solve that anchors
-// the whole paper (760 mV for a 32 KB 6T array at 99.9% yield).
-func BenchmarkFig2FailureProbability(b *testing.B) {
-	model := sram.NewModel()
-	var vccmin float64
-	for i := 0; i < b.N; i++ {
-		pts := model.GranularityCurve(sram.Cell6T, 350, 900, 10)
-		if len(pts) == 0 {
-			b.Fatal("empty curve")
-		}
-		vccmin = model.VccminMV(sram.Cell6T, sram.Cache32KBBits, sram.TargetYield)
-	}
-	b.ReportMetric(vccmin, "vccmin-mV")
-}
-
-// BenchmarkFig3SpatialLocality regenerates Figure 3's interval metrics
-// for the whole suite and reports the suite-mean spatial locality and
-// reuse rate.
-func BenchmarkFig3SpatialLocality(b *testing.B) {
-	var spatial, reuse float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.NewEngine(0).Fig3(context.Background(), 60_000, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spatial, reuse = 0, 0
-		for _, r := range res {
-			spatial += r.MeanSpatial / float64(len(res))
-			reuse += r.MeanReuse / float64(len(res))
-		}
-	}
-	b.ReportMetric(spatial, "mean-spatial")
-	b.ReportMetric(reuse, "mean-reuse")
-}
-
-// BenchmarkFig6EffectiveCapacity regenerates Figure 6: the effective
-// instruction-cache capacity distribution and block/chunk size
-// distributions for basicmath at 400 mV.
-func BenchmarkFig6EffectiveCapacity(b *testing.B) {
-	op := opAt(b, 400)
-	var capKB, placeable float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.NewEngine(0).Fig6(context.Background(), "basicmath", op, 10, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		capKB, placeable = res.CapacityKB.Mean, res.Placeable
-	}
-	b.ReportMetric(capKB, "capacity-KB")
-	b.ReportMetric(placeable, "placeable")
-}
-
-// BenchmarkFig9CriticalPaths regenerates Figure 9's FO4 timeline and
-// reports the slack between the FFW pattern path and the data array —
-// positive slack is the paper's zero-latency-overhead argument.
-func BenchmarkFig9CriticalPaths(b *testing.B) {
-	tech := cacti.Default45nm()
-	var slack float64
-	for i := 0; i < b.N; i++ {
-		paths := tech.Fig9Timeline()
-		slack = paths[0].FO4 - paths[1].FO4
-	}
-	b.ReportMetric(slack, "slack-FO4")
-}
-
-// BenchmarkTable3StaticOverheads regenerates Table III and reports the
-// headline FFW/BBR area overheads.
-func BenchmarkTable3StaticOverheads(b *testing.B) {
-	tech := cacti.Default45nm()
-	var ffwArea, bbrArea float64
-	for i := 0; i < b.N; i++ {
-		rows := tech.TableIII()
-		for _, r := range rows {
-			switch r.Scheme {
-			case "FFW (dcache)":
-				ffwArea = r.AreaPct - 100
-			case "BBR (icache)":
-				bbrArea = r.AreaPct - 100
-			}
-		}
-	}
-	b.ReportMetric(ffwArea, "ffw-area-%")
-	b.ReportMetric(bbrArea, "bbr-area-%")
-}
-
-// evalGrid runs a reduced Figures 10–12 grid (two benchmarks, 560 and
-// 400 mV) and is shared by the three figure benchmarks.
-func evalGrid(b *testing.B) []sim.EvalCell {
-	b.Helper()
-	cfg := sim.QuickConfig()
-	cfg.Instructions = 60_000
-	cells, err := sim.NewEngine(0).Evaluate(context.Background(), cfg, sim.EvalSchemes(),
-		[]string{"basicmath", "qsort"},
-		[]dvfs.OperatingPoint{opAt(b, 560), opAt(b, 400)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cells
-}
-
-// BenchmarkFig10Runtime regenerates Figure 10 (normalized runtime) and
-// reports the proposed scheme's runtime at 400 mV next to FBA+'s.
-func BenchmarkFig10Runtime(b *testing.B) {
-	var ours, fba float64
-	for i := 0; i < b.N; i++ {
-		cells := evalGrid(b)
-		if c, ok := sim.CellFor(cells, sim.FFWBBR, 400); ok {
-			ours = c.NormRuntime
-		}
-		if c, ok := sim.CellFor(cells, sim.FBAPlus, 400); ok {
-			fba = c.NormRuntime
-		}
-	}
-	b.ReportMetric(ours, "ffwbbr-runtime-400mV")
-	b.ReportMetric(fba, "fba+-runtime-400mV")
-}
-
-// BenchmarkFig11L2Accesses regenerates Figure 11 (L2 accesses per 1000
-// instructions) and reports the proposed scheme against Simple-wdis at
-// 400 mV.
-func BenchmarkFig11L2Accesses(b *testing.B) {
-	var ours, wdis float64
-	for i := 0; i < b.N; i++ {
-		cells := evalGrid(b)
-		if c, ok := sim.CellFor(cells, sim.FFWBBR, 400); ok {
-			ours = c.L2PerKilo
-		}
-		if c, ok := sim.CellFor(cells, sim.SimpleWdis, 400); ok {
-			wdis = c.L2PerKilo
-		}
-	}
-	b.ReportMetric(ours, "ffwbbr-L2-per-1k")
-	b.ReportMetric(wdis, "wdis-L2-per-1k")
-}
-
-// BenchmarkFig12EPI regenerates Figure 12 (normalized EPI) and reports
-// the proposed scheme's energy reduction at 400 mV (paper: 64%).
-func BenchmarkFig12EPI(b *testing.B) {
-	var reduction float64
-	for i := 0; i < b.N; i++ {
-		cells := evalGrid(b)
-		if c, ok := sim.CellFor(cells, sim.FFWBBR, 400); ok {
-			reduction = 100 * (1 - c.NormEPI)
-		}
-	}
-	b.ReportMetric(reduction, "epi-reduction-%")
 }
 
 // BenchmarkAblationWindowPlacement compares FFW's two window placement
@@ -218,11 +69,6 @@ func BenchmarkAblationFBAEntries(b *testing.B) {
 	for _, entries := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
 			op := opAt(b, 400)
-			scheme := sim.FBA64
-			if entries >= 1024 {
-				scheme = sim.FBAPlus
-			}
-			_ = scheme
 			var l2k float64
 			for i := 0; i < b.N; i++ {
 				// Build directly so intermediate sizes are exercised too.

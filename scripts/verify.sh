@@ -11,6 +11,9 @@
 #            cmd/lvlint's TestSelfLint, which runs the repo's own
 #            analyzers (all eighteen checks of `lvlint ./...`) over the
 #            module and fails on any finding
+#   ablations — one pass of bench_test.go's ablation benchmarks, whose
+#            numbers EXPERIMENTS.md's Ablations section quotes; go test
+#            compiles benchmarks but runs none without -bench
 #   perfbench — vet and test the benchmark harness module (its golden
 #            output digests), so a change to an internal API or output
 #            the benchmark depends on fails here, not in a benchmark run
@@ -58,6 +61,9 @@ go vet ./...
 
 echo '== go test -shuffle=on ./...'
 go test -shuffle=on ./...
+
+echo "== go test -run '^\$' -bench Ablation -benchtime 1x ."
+go test -run '^$' -bench Ablation -benchtime 1x .
 
 echo '== go -C perfbench vet ./... && go -C perfbench test ./...'
 go -C perfbench vet ./...
